@@ -235,15 +235,18 @@ CSV_COLUMNS = [
 ]
 
 
-def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
-    """All methods on one sampled graph; shared across the method list."""
-    seed = spec.base_seed + rep
+def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np.ndarray]:
+    """One cell's sampled graph restricted to its largest component, with planted labels."""
     params = spec.params_for(sweep_value, seed)
     g = sample_graph(params, seed=[seed, _STREAM_GRAPH])
     g_lcc, index_map = largest_connected_component(g)
-    truth = np.empty(g_lcc.n, dtype=np.int64)
-    for old, new in index_map.items():
-        truth[new] = params.z[old]
+    return g_lcc, params.z[list(index_map)]
+
+
+def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
+    """All methods on one sampled graph; shared across the method list."""
+    seed = spec.base_seed + rep
+    g_lcc, truth = _cell_graph(spec, sweep_value, seed)
     rows = []
     for method in spec.methods:
         out = run_method(
@@ -353,12 +356,7 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
         rec = records[idx]
         seed = int(rec["seed"])
         sweep_value = type(spec.sweep_values[0])(float(rec["sweep_value"]))
-        params = spec.params_for(sweep_value, seed)
-        g = sample_graph(params, seed=[seed, _STREAM_GRAPH])
-        g_lcc, index_map = largest_connected_component(g)
-        truth = np.empty(g_lcc.n, dtype=np.int64)
-        for old, new in index_map.items():
-            truth[new] = params.z[old]
+        _, truth = _cell_graph(spec, sweep_value, seed)
         labels = np.array([int(c) for c in rec["labels"]])
         rate, _ = misclustering_rate(truth, labels)
         value = nmi(truth, labels)

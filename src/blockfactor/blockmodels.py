@@ -205,8 +205,7 @@ def sample_graph(p: BlockModel, seed) -> Graph:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(p.n, k=1)
     hit = rng.random(iu.shape[0]) < probs[iu, ju]
-    edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
-    return Graph.from_edges(p.n, edges)
+    return Graph.from_edges(p.n, np.column_stack((iu[hit], ju[hit])))
 
 
 def _balanced_labels(n: int, k: int) -> np.ndarray:

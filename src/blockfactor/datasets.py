@@ -61,14 +61,10 @@ def dolphins() -> tuple[Graph, np.ndarray]:
             f"{path} has no ground-truth node values; rebuild it with "
             "scripts/fetch_dolphins.py so the two-group split is encoded."
         )
-    labeled = [i for i in range(g.n) if labels[i] >= 0]
-    g_sub, index_map = induced_subgraph(g, labeled)
-    sub_labels = np.array([labels[i] for i in labeled])
+    labeled = np.flatnonzero(labels >= 0)
+    g_sub, _ = induced_subgraph(g, labeled)
     g_lcc, lcc_map = largest_connected_component(g_sub)
-    truth = np.empty(g_lcc.n, dtype=np.int64)
-    for old, new in lcc_map.items():
-        truth[new] = sub_labels[old]
-    return g_lcc, truth
+    return g_lcc, labels[labeled][list(lcc_map)]
 
 
 def polblogs() -> tuple[Graph, np.ndarray]:
@@ -89,10 +85,7 @@ def polblogs() -> tuple[Graph, np.ndarray]:
     labels = load_labels(labels_path)
     g = symmetrize_directed(pairs, n=labels.shape[0])
     g_lcc, lcc_map = largest_connected_component(g)
-    truth = np.empty(g_lcc.n, dtype=np.int64)
-    for old, new in lcc_map.items():
-        truth[new] = labels[old]
-    return g_lcc, truth
+    return g_lcc, labels[list(lcc_map)]
 
 
 def load_dataset(name: str) -> tuple[Graph, np.ndarray]:

@@ -130,26 +130,8 @@ def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig
 
     which keeps H nonnegative and decreases ||X - H H^T||_F.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h = np.array(h0, dtype=np.float64)
-    _check_solver_inputs(x, k, h)
-    trace = [frobenius_residual(x, h)]
-    converged = False
-    for _ in range(cfg.max_iters):
-        h = snmf_step(x, h, cfg.denom_guard)
-        if not np.isfinite(h).all():
-            raise NonFiniteUpdateError("SNMF update produced non-finite entries")
-        trace.append(frobenius_residual(x, h))
-        if _relative_change(trace[-2], trace[-1]) < cfg.rel_tol:
-            converged = True
-            break
-    return Factorization(
-        h=h,
-        s=None,
-        objective_trace=np.array(trace),
-        iterations=len(trace) - 1,
-        converged=converged,
-        method="snmf",
+    return _solve(
+        "snmf", x, k, h0, cfg, None, lambda x, h, s, guard: (snmf_step(x, h, guard), None)
     )
 
 
@@ -169,6 +151,11 @@ def osntf_step(
     return h, s
 
 
+def _initial_s(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    s = h.T @ (x @ h)
+    return 0.5 * (s + s.T)
+
+
 def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
     """Orthogonal symmetric nonnegative tri-factorization X ~ H S H^T.
 
@@ -180,44 +167,39 @@ def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfi
     Column orthogonality of H is tracked, not enforced; renormalizing
     during the run would break the monotonicity of the updates.
     """
+    return _solve("osntf", x, k, h0, cfg, _initial_s, osntf_step)
+
+
+def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, step) -> Factorization:
+    """The sweep loop both solvers share.
+
+    ``s0(x, h)`` gives the starting S, or ``s0`` is None for a solver
+    without one; ``step(x, h, s, guard)`` returns the next ``(h, s)``.
+    Stops once the relative residual change drops below ``cfg.rel_tol``
+    and raises NonFiniteUpdateError as soon as a residual is not finite.
+    """
     x = np.asarray(x, dtype=np.float64)
     h = np.array(h0, dtype=np.float64)
     _check_solver_inputs(x, k, h)
-    xh = x @ h
-    s = h.T @ xh
-    s = 0.5 * (s + s.T)
+    s = None if s0 is None else s0(x, h)
     trace = [frobenius_residual(x, h, s)]
     converged = False
     for _ in range(cfg.max_iters):
-        # the X @ H product and H^T X H gram feed both the residual and
-        # the next sweep, so they are carried across iterations
-        gram = h.T @ h
-        s_den = gram @ s @ gram + cfg.denom_guard
-        s = s * np.sqrt((h.T @ xh) / s_den)
-
-        xhs = xh @ s
-        h_den = h @ (h.T @ xhs) + cfg.denom_guard
-        h = h * np.sqrt(xhs / h_den)
-
-        xh = x @ h
-        resid = float(np.linalg.norm(x - (h @ s) @ h.T))
-        if not np.isfinite(resid):
-            raise NonFiniteUpdateError("OSNTF update produced non-finite entries")
-        trace.append(resid)
+        h, s = step(x, h, s, cfg.denom_guard)
+        trace.append(frobenius_residual(x, h, s))
+        if not np.isfinite(trace[-1]):
+            raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
         if _relative_change(trace[-2], trace[-1]) < cfg.rel_tol:
             converged = True
             break
-    if not (np.isfinite(h).all() and np.isfinite(s).all()):
-        raise NonFiniteUpdateError("OSNTF update produced non-finite entries")
-    drift = float(np.linalg.norm(h.T @ h - np.eye(k)))
     return Factorization(
         h=h,
         s=s,
         objective_trace=np.array(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        orthogonality_drift=drift,
-        method="osntf",
+        orthogonality_drift=None if s is None else float(np.linalg.norm(h.T @ h - np.eye(k))),
+        method=method,
     )
 
 

@@ -5,7 +5,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .graphs import Graph, degrees, normalized_laplacian
+from .graphs import Graph, _scaled_adjacency, degrees, normalized_laplacian
 
 __all__ = [
     "EigenPairs",
@@ -126,20 +126,17 @@ def kmeans(
 def regularized_laplacian(g: Graph, tau: Optional[float] = None) -> np.ndarray:
     """L_tau = (D + tau I)^{-1/2} A (D + tau I)^{-1/2}.
 
-    tau defaults to the average node degree.  Defined for any graph,
-    including ones with isolated nodes.
+    tau defaults to the average node degree and must be nonnegative.
+    Defined for any graph, including ones with isolated nodes.
     """
     d = degrees(g).astype(np.float64)
     if tau is None:
         tau = float(d.mean()) if g.n else 0.0
+    if not tau >= 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     reg = d + tau
-    inv_sqrt = np.where(reg > 0, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)), 0.0)
-    lap = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        v = inv_sqrt[i] * inv_sqrt[j]
-        lap[i, j] = v
-        lap[j, i] = v
-    return lap
+    # reg is 0 only on isolated nodes at tau = 0, whose weight never enters
+    return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
 
 
 def spectral_clustering(

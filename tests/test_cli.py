@@ -69,6 +69,11 @@ class TestFactorize:
         assert main(["factorize", "/nonexistent/graph.txt", "--k", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_tau_errors(self, k3_file, capsys):
+        argv = ["factorize", str(k3_file), "--k", "2", "--method", "reg-spectral", "--tau", "-3"]
+        assert main(argv) == 2
+        assert "tau" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_deterministic_csv_bytes(self, spec_file, tmp_path, capsys):

@@ -17,6 +17,7 @@ from blockfactor.graphs import (
     normalized_laplacian,
     symmetrize_directed,
 )
+from blockfactor.spectral import regularized_laplacian
 
 DATA = Path(__file__).parent.parent / "src" / "blockfactor" / "data"
 
@@ -27,6 +28,34 @@ def random_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     hit = rng.random(iu.size) < p
     return Graph.from_edges(n, zip(iu[hit].tolist(), ju[hit].tolist()))
+
+
+def reachability_components(g):
+    """Components read off the transitive closure of I + A, smallest member first."""
+    reach = np.eye(g.n, dtype=bool)
+    for i, j in g.edges:
+        reach[i, j] = reach[j, i] = True
+    while True:
+        closed = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def component_test_graphs():
+    """Edgeless graphs, sparse random graphs with isolated nodes, and size ties."""
+    rng = np.random.default_rng(7)
+    graphs = [Graph(n=1, edges=()), Graph(n=6, edges=())]
+    for _ in range(90):
+        graphs.append(random_graph(rng, int(rng.integers(1, 30)), float(rng.random()) * 0.15))
+    for _ in range(10):
+        # equal-size blocks on shuffled ids: every component ties for largest
+        size, count = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        ids = rng.permutation(size * count).reshape(count, size)
+        edges = [(b[t], b[t + 1]) for b in ids for t in range(size - 1)]
+        graphs.append(Graph.from_edges(size * count, edges))
+    return graphs
 
 
 class TestGraphType:
@@ -42,6 +71,16 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edges", [[(-1, 1)], [(0, 1, 2)]])
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            Graph.from_edges(2, edges)
+
+    def test_array_input_matches_pairs(self):
+        g = Graph.from_edges(4, np.array([[2, 1], [1, 2], [0, 3]]))
+        assert g.edges == ((0, 3), (1, 2))
+        assert g.edge_array.tolist() == [[0, 3], [1, 2]]
+
     def test_adjacency_symmetric_binary_zero_diagonal(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 12, 0.3)
@@ -49,6 +88,7 @@ class TestGraphType:
         assert np.array_equal(a, a.T)
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert np.all(np.diag(a) == 0)
+        assert set(zip(*np.nonzero(np.triu(a)))) == set(g.edges)
 
     def test_adjacency_readonly(self):
         with pytest.raises(ValueError):
@@ -117,6 +157,24 @@ class TestNormalizedLaplacian:
             assert lap.min() >= 0 and lap.max() <= 1
             assert np.all(np.diag(lap) == 0)
 
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(2, 30)), 0.3)
+            a = g.adjacency
+            d = a.sum(axis=1)
+            for tau in (0.0, 0.5, None):
+                t = d.mean() if tau is None else tau
+                reg = np.where(d + t > 0, d + t, 1.0)
+                expected = a / np.sqrt(np.outer(reg, reg))
+                np.testing.assert_allclose(
+                    regularized_laplacian(g, tau=tau), expected, rtol=0, atol=1e-15
+                )
+            if d.min() > 0:
+                np.testing.assert_allclose(
+                    normalized_laplacian(g), a / np.sqrt(np.outer(d, d)), rtol=0, atol=1e-15
+                )
+
     def test_eigenvalues_within_unit_range(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -167,6 +225,45 @@ class TestComponents:
         assert sub.n == 3
         assert sub.edges == ((0, 1),)
         assert index_map == {1: 0, 2: 1, 4: 2}
+
+    def test_induced_subgraph_keeps_given_order(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        sub, index_map = induced_subgraph(g, [4, 2, 1, 3])
+        assert sub.edges == ((0, 3), (1, 2), (1, 3))
+        assert index_map == {4: 0, 2: 1, 1: 2, 3: 3}
+
+    @pytest.mark.parametrize("nodes", [[5, 1], [-1, 1], [3]])
+    def test_induced_subgraph_rejects_unknown_nodes(self, nodes):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="outside"):
+            induced_subgraph(g, nodes)
+
+    def test_induced_subgraph_rejects_duplicates(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            induced_subgraph(K3, [0, 0])
+
+    def test_components_match_reachability_closure(self):
+        for g in component_test_graphs():
+            expected = reachability_components(g)
+            assert connected_components(g) == [list(c) for c in expected]
+            assert is_connected(g) == (len(expected) == 1)
+            best = max(expected, key=len)  # first of the largest: smallest member
+            lcc, index_map = largest_connected_component(g)
+            assert list(index_map) == list(best)
+            assert list(index_map.values()) == list(range(len(best)))
+            expected_edges = tuple(
+                (index_map[i], index_map[j]) for i, j in g.edges if i in index_map
+            )
+            assert lcc.edges == expected_edges
+
+    def test_long_shuffled_path_is_one_component(self):
+        # propagating labels one hop per round would take ~n rounds here
+        n = 20_000
+        order = np.random.default_rng(8).permutation(n)
+        g = Graph.from_edges(n, np.column_stack((order[:-1], order[1:])))
+        assert connected_components(g) == [list(range(n))]
+        lcc, index_map = largest_connected_component(g)
+        assert lcc.edges == g.edges and len(index_map) == n
 
 
 class TestSymmetrizeDirected:

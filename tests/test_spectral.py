@@ -160,6 +160,11 @@ class TestSpectralClustering:
         assert np.array_equal(lap, lap.T)
         assert lap.max() < 1.0  # regularization strictly shrinks entries
 
+    def test_negative_tau_rejected(self):
+        # d + tau <= 0 would zero some rows and push other entries above 1
+        with pytest.raises(ValueError, match="tau"):
+            regularized_laplacian(two_cliques(), tau=-3.0)
+
 
 class TestNmfInit:
     def test_documented_example(self):
