@@ -94,20 +94,19 @@ def run_method(
     if method not in ("snmf", "osntf"):
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
-    if matrix == "laplacian":
-        x = normalized_laplacian(g)
-    elif matrix == "adjacency":
-        x = np.array(g.adjacency)
-    else:
+    if matrix not in ("laplacian", "adjacency"):
         raise ValueError(f"matrix must be 'laplacian' or 'adjacency', got {matrix!r}")
+    if init not in ("reg-spectral", "spectral"):
+        raise ValueError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
 
+    # The reg-spectral partition runs before the n x n target is built, so
+    # its dense matrices and the target are never held at once.
     if init == "reg-spectral":
         part = spectral_clustering(g, k, "regularized", seed=seed, tau=tau, restarts=restarts)
-    elif init == "spectral":
+    x = normalized_laplacian(g) if matrix == "laplacian" else np.array(g.adjacency)
+    if init == "spectral":
         vecs = sym_eigs_topk(x, k).vectors
         part = kmeans(vecs, k, seed=seed, restarts=restarts)
-    else:
-        raise ValueError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
 
     h0 = nmf_init_from_partition(part, k, offset=cfg.init_offset)
     f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)

@@ -145,16 +145,17 @@ def _cmd_winners(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.seterr(all="ignore")
     try:
-        if args.command == "factorize":
-            return _cmd_factorize(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "realdata":
-            return _cmd_realdata(args)
-        if args.command == "winners":
-            return _cmd_winners(args)
+        # scoped, so a caller's floating-point error state is left as it was
+        with np.errstate(all="ignore"):
+            if args.command == "factorize":
+                return _cmd_factorize(args)
+            if args.command == "simulate":
+                return _cmd_simulate(args)
+            if args.command == "realdata":
+                return _cmd_realdata(args)
+            if args.command == "winners":
+                return _cmd_winners(args)
     except (BlockfactorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blockfactor.bench as bench
 from blockfactor.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -189,6 +190,36 @@ class TestRunMethod:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(ValueError):
             run_method(g, 2, "snmf", seed=0, matrix="modularity")
+
+    @pytest.mark.parametrize("bad", [dict(matrix="modularity"), dict(init="random")])
+    def test_bad_option_fails_before_any_work(self, monkeypatch, bad):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("normalized_laplacian", "spectral_clustering", "sym_eigs_topk"):
+            monkeypatch.setattr(bench, name, forbidden)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError):
+            run_method(g, 2, "snmf", seed=0, **bad)
+
+    def test_target_built_after_reg_spectral_partition(self, monkeypatch):
+        # the dense target and the partition's own dense matrices never coexist
+        calls = []
+
+        def recording(name):
+            real = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("normalized_laplacian", "spectral_clustering"):
+            monkeypatch.setattr(bench, name, recording(name))
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+        run_method(g, 2, "osntf", seed=0)
+        assert calls == ["spectral_clustering", "normalized_laplacian"]
 
     def test_adjacency_matrix_path(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from blockfactor.cli import main
@@ -64,6 +65,13 @@ class TestFactorize:
         code = main(["factorize", str(gml), "--k", "1", "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text() == "ann\t0\nbob\t0\ncal\t0\n"
+
+    def test_numpy_error_state_restored(self, k3_file, capsys):
+        with np.errstate(all="warn", under="ignore"):
+            before = np.geterr()
+            assert main(["factorize", str(k3_file), "--k", "1"]) == 0
+            assert main(["factorize", "/nonexistent/graph.txt", "--k", "2"]) == 2
+            assert np.geterr() == before
 
     def test_missing_file_errors(self, capsys):
         assert main(["factorize", "/nonexistent/graph.txt", "--k", "2"]) == 2

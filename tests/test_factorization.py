@@ -79,6 +79,15 @@ class TestSnmf:
         with pytest.raises(ValueError, match="symmetric"):
             snmf(x, 1, np.ones((2, 1)))
 
+    @pytest.mark.parametrize("offset, accepted", [(0.0, True), (5e-9, True), (1e-7, False)])
+    def test_symmetry_tolerance(self, offset, accepted):
+        x = np.array([[1.0, 0.5], [0.5 + offset, 1.0]])
+        if accepted:
+            snmf(x, 1, np.ones((2, 1)), SolverConfig(max_iters=5))
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                snmf(x, 1, np.ones((2, 1)))
+
     def test_non_finite_update_detected(self):
         x = np.full((4, 4), 1e200)
         with pytest.raises(NonFiniteUpdateError):
@@ -161,6 +170,69 @@ class TestUpdateSteps:
             s = h.T @ x @ h
             h2, s2 = osntf_step(x, h, s)
             assert h2.min() >= 0 and s2.min() >= 0
+
+
+def replay(x, h0, sweeps, method):
+    """The solver run by hand: public steps and the dense residual."""
+    h = np.array(h0, dtype=np.float64)
+    s = None
+    if method == "osntf":
+        s = h.T @ (x @ h)
+        s = 0.5 * (s + s.T)
+    trace = [frobenius_residual(x, h, s)]
+    for _ in range(sweeps):
+        if method == "osntf":
+            h, s = osntf_step(x, h, s)
+        else:
+            h = snmf_step(x, h)
+        trace.append(frobenius_residual(x, h, s))
+    return h, s, np.array(trace)
+
+
+def random_instance():
+    rng = np.random.default_rng(17)
+    return random_nonneg_symmetric(rng, 20), rng.random((20, 3)) + 0.1, 300
+
+
+def population_instance():
+    # Criterion 4's set-up; at 4000 sweeps the OSNTF residual is near 1e-6
+    # relative, where the identity's cancellation floor matters
+    rng = np.random.default_rng(3)
+    p = random_full_rank_sbm(rng, n=60, k=3)
+    lap = population_laplacian(p)
+    part = kmeans(topk_by_magnitude(lap, 3), 3, seed=0)
+    return lap, nmf_init_from_partition(part, 3, offset=0.02), 4000
+
+
+class TestSweepLoop:
+    """The solvers against a replay of the public steps with the dense residual."""
+
+    @pytest.mark.parametrize("instance", [random_instance, population_instance])
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_matches_replay_of_public_steps(self, instance, method):
+        x, h0, sweeps = instance()
+        solver = snmf if method == "snmf" else osntf
+        f = solver(x, 3, h0, SolverConfig(max_iters=sweeps, rel_tol=0.0))
+        h, s, trace = replay(x, h0, sweeps, method)
+        assert f.iterations == sweeps
+        assert np.array_equal(f.h, h)
+        assert (f.s is None) == (s is None)
+        if s is not None:
+            assert np.array_equal(f.s, s)
+        norm_x = np.linalg.norm(x)
+        err = np.abs(f.objective_trace - trace)
+        assert err.max() <= 1e-7 * norm_x
+        large = trace >= 1e-2 * norm_x
+        assert large.any()
+        assert (err[large] <= 1e-10 * trace[large]).all()
+
+    @pytest.mark.parametrize("solver", [snmf, osntf])
+    def test_overflowing_first_sweep_is_not_a_zero_residual(self, solver):
+        # x is finite, but H H^T overflows: the identity's terms turn
+        # non-finite and must not be clamped to a perfect fit
+        x = np.eye(4) + 0.5
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
+            solver(x, 2, np.full((4, 2), 1e160), SolverConfig(max_iters=50, rel_tol=0.0))
 
 
 class TestAssignCommunities:
