@@ -19,16 +19,21 @@ import numpy as np
 
 from .blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from .datasets import load_dataset
-from .errors import BlockfactorError
+from .errors import BlockfactorError, InvalidInputError
 from .factorization import SolverConfig, assign_communities, frobenius_residual, osntf, snmf
 from .graphs import Graph, largest_connected_component, normalized_laplacian
 from .metrics import misclustering_rate, nmi
-from .spectral import kmeans, nmf_init_from_partition, spectral_clustering, sym_eigs_topk
+from .spectral import graph_eigenvectors, kmeans, nmf_init_from_partition, unit_rows
+
+# Not called here, but bound in this module because perfbench/tracing.py
+# wraps them where bench looks them up.
+from .spectral import spectral_clustering, sym_eigs_topk  # noqa: F401
 
 __all__ = [
     "METHODS",
     "MethodOutput",
     "run_method",
+    "run_methods",
     "ExperimentSpec",
     "ResultRow",
     "run_simulation",
@@ -50,15 +55,143 @@ _STREAM_GRAPH = 1
 _STREAM_KMEANS = 2
 
 
+# The partition each spectral method clusters: (graph matrix, rows scaled
+# to unit length before k-means).  "reg-spectral" also seeds the NMF methods.
+_SPECTRAL = {
+    "spectral": ("laplacian", False),
+    "reg-spectral": ("regularized", True),
+    "spectral-wp": ("regularized", False),
+}
+
+
 @dataclass
 class MethodOutput:
-    """Labels plus solver diagnostics (empty for the spectral baselines)."""
+    """Labels plus solver diagnostics (empty for the spectral baselines).
+
+    ``wall_time_s`` is the method's standalone cost: its own time plus the
+    recorded time of every shared spectral stage it used, whether it
+    computed the stage or another method on the same graph did.  So it
+    does not depend on which methods run alongside it, or in what order.
+    """
 
     labels: np.ndarray
     iterations: int = 0
     orthogonality_drift: Optional[float] = None
     residual: Optional[float] = None
     wall_time_s: float = 0.0
+
+
+class _SharedStages:
+    """The spectral stages of the methods run on one graph, each done once.
+
+    A stage is the top-k eigensolve of one graph matrix or the k-means
+    partition of one embedding of it.  Only their n x k vectors and labels
+    are kept, with the seconds each took; no n x n matrix is.
+    """
+
+    def __init__(self, g: Graph, k: int, seed, tau: Optional[float], restarts: int):
+        self.g = g
+        self.k = k
+        self.seed = seed
+        self.tau = tau
+        self.restarts = restarts
+        self._done: dict[tuple, tuple[np.ndarray, float]] = {}
+
+    def _stage(self, key: tuple, compute) -> tuple[np.ndarray, float]:
+        if key not in self._done:
+            start = time.perf_counter()
+            value = compute()
+            self._done[key] = (value, time.perf_counter() - start)
+        return self._done[key]
+
+    def partition(self, matrix: str, unit: bool) -> tuple[np.ndarray, float]:
+        """k-means labels of the top-k eigenvectors of ``matrix`` (rows scaled
+        to unit length when ``unit``), and the seconds both stages took."""
+        vectors, eigs_s = self._stage(
+            (matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix, tau=self.tau)
+        )
+        labels, kmeans_s = self._stage(
+            (matrix, unit),
+            lambda: kmeans(
+                unit_rows(vectors) if unit else vectors,
+                self.k, seed=self.seed, restarts=self.restarts,
+            ),
+        )
+        return labels, eigs_s + kmeans_s
+
+
+def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str, init: str):
+    for method in methods:
+        if method not in METHODS:
+            raise InvalidInputError(f"unknown method {method!r}; choose from {METHODS}")
+    if matrix not in ("laplacian", "adjacency"):
+        raise InvalidInputError(f"matrix must be 'laplacian' or 'adjacency', got {matrix!r}")
+    if init not in ("reg-spectral", "spectral"):
+        raise InvalidInputError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= g.n):
+        raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
+
+
+def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig, init: str):
+    """One method on the shared graph; its dense target is freed on return.
+
+    The partition, computed here or reused, is charged at its recorded cost.
+    """
+    if method in _SPECTRAL:
+        embedding = _SPECTRAL[method]
+    elif init == "reg-spectral":
+        embedding = _SPECTRAL["reg-spectral"]
+    else:
+        embedding = (matrix, False)  # the target's own top-k eigenvectors
+    labels, partition_s = stages.partition(*embedding)
+    start = time.perf_counter()
+    if method in _SPECTRAL:
+        out = MethodOutput(labels=labels)
+    else:
+        # the target is built after the seeding partition, so it never
+        # coexists with the eigensolve's own dense matrix
+        g, k = stages.g, stages.k
+        x = normalized_laplacian(g) if matrix == "laplacian" else np.array(g.adjacency)
+        h0 = nmf_init_from_partition(labels, k, offset=cfg.init_offset)
+        f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
+        out = MethodOutput(
+            labels=assign_communities(f.h),
+            iterations=f.iterations,
+            orthogonality_drift=f.orthogonality_drift,
+            residual=frobenius_residual(x, f.h, f.s),
+        )
+    out.wall_time_s = partition_s + time.perf_counter() - start
+    return out
+
+
+def run_methods(
+    g: Graph,
+    k: int,
+    methods: Sequence[str],
+    seed,
+    matrix: str = "laplacian",
+    cfg: SolverConfig = SolverConfig(),
+    init: str = "reg-spectral",
+    tau: Optional[float] = None,
+    restarts: int = 20,
+) -> list[MethodOutput]:
+    """Run community-detection methods on one graph, one output per method.
+
+    ``matrix`` selects the factorization target for the NMF methods
+    (the spectral baselines are defined on the Laplacian regardless);
+    ``init`` picks the seeding partition for the NMF methods, either
+    "spectral" (on the same matrix being factorized) or "reg-spectral".
+
+    The methods share their spectral stages: each graph matrix's top-k
+    eigensolve and each k-means partition is computed at most once, so
+    "spectral-wp" reuses the L_tau eigenvectors of "reg-spectral", and the
+    NMF methods start from the partition that "reg-spectral" (or, for
+    ``init="spectral"`` on the Laplacian, "spectral") outputs.  Every
+    argument is checked before any of that work starts.
+    """
+    _check_method_options(g, k, methods, matrix, init)
+    stages = _SharedStages(g, k, seed, tau, restarts)
+    return [_run_one(stages, method, matrix, cfg, init) for method in methods]
 
 
 def run_method(
@@ -72,52 +205,8 @@ def run_method(
     tau: Optional[float] = None,
     restarts: int = 20,
 ) -> MethodOutput:
-    """Run one community-detection method on a graph.
-
-    ``matrix`` selects the factorization target for the NMF methods
-    (the spectral baselines are defined on the Laplacian regardless);
-    ``init`` picks the seeding partition for the NMF methods, either
-    "spectral" (on the same matrix being factorized) or "reg-spectral".
-    """
-    start = time.perf_counter()
-    if method == "spectral":
-        labels = spectral_clustering(g, k, "plain", seed=seed, restarts=restarts)
-        return MethodOutput(labels=labels, wall_time_s=time.perf_counter() - start)
-    if method == "reg-spectral":
-        labels = spectral_clustering(g, k, "regularized", seed=seed, tau=tau, restarts=restarts)
-        return MethodOutput(labels=labels, wall_time_s=time.perf_counter() - start)
-    if method == "spectral-wp":
-        labels = spectral_clustering(
-            g, k, "regularized_no_projection", seed=seed, tau=tau, restarts=restarts
-        )
-        return MethodOutput(labels=labels, wall_time_s=time.perf_counter() - start)
-    if method not in ("snmf", "osntf"):
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-    if matrix not in ("laplacian", "adjacency"):
-        raise ValueError(f"matrix must be 'laplacian' or 'adjacency', got {matrix!r}")
-    if init not in ("reg-spectral", "spectral"):
-        raise ValueError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
-
-    # The reg-spectral partition runs before the n x n target is built, so
-    # its dense matrices and the target are never held at once.
-    if init == "reg-spectral":
-        part = spectral_clustering(g, k, "regularized", seed=seed, tau=tau, restarts=restarts)
-    x = normalized_laplacian(g) if matrix == "laplacian" else np.array(g.adjacency)
-    if init == "spectral":
-        vecs = sym_eigs_topk(x, k).vectors
-        part = kmeans(vecs, k, seed=seed, restarts=restarts)
-
-    h0 = nmf_init_from_partition(part, k, offset=cfg.init_offset)
-    f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
-    labels = assign_communities(f.h)
-    return MethodOutput(
-        labels=labels,
-        iterations=f.iterations,
-        orthogonality_drift=f.orthogonality_drift,
-        residual=frobenius_residual(x, f.h, f.s),
-        wall_time_s=time.perf_counter() - start,
-    )
+    """Run one community-detection method on a graph (see ``run_methods``)."""
+    return run_methods(g, k, [method], seed, matrix, cfg, init, tau, restarts)[0]
 
 
 @dataclass
@@ -243,16 +332,14 @@ def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np
 
 
 def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
-    """All methods on one sampled graph; shared across the method list."""
+    """All methods on one sampled graph, sharing its spectral stages."""
     seed = spec.base_seed + rep
     g_lcc, truth = _cell_graph(spec, sweep_value, seed)
+    outputs = run_methods(
+        g_lcc, spec.k, spec.methods, seed=[seed, _STREAM_KMEANS], matrix=spec.matrix
+    )
     rows = []
-    for method in spec.methods:
-        out = run_method(
-            g_lcc, spec.k, method,
-            seed=[seed, _STREAM_KMEANS],
-            matrix=spec.matrix,
-        )
+    for method, out in zip(spec.methods, outputs):
         rate, _ = misclustering_rate(truth, out.labels)
         rows.append(
             ResultRow(
@@ -406,8 +493,7 @@ def realdata_table(
     """Per-method misclustered count and NMI on a benchmark dataset."""
     g, truth = load_dataset(dataset)
     out = []
-    for method in methods:
-        res = run_method(g, k, method, seed=seed, tau=tau, cfg=cfg)
+    for method, res in zip(methods, run_methods(g, k, methods, seed=seed, tau=tau, cfg=cfg)):
         rate, _ = misclustering_rate(truth, res.labels)
         out.append(
             {

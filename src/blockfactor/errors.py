@@ -20,6 +20,14 @@ class IsolatedNodeError(BlockfactorError):
         )
 
 
+class InvalidInputError(BlockfactorError, ValueError):
+    """An argument is out of range or malformed: non-finite matrix entries,
+    a community count outside [1, n], an unknown method or option.
+
+    It is also a ValueError, so callers that catch that keep working.
+    """
+
+
 class EmptyGraphError(BlockfactorError):
     """Operation requires at least one node."""
 

@@ -4,7 +4,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import InvalidInputError, NoConvergenceError
 from .graphs import Graph, _scaled_adjacency, degrees, normalized_laplacian
 
 __all__ = [
@@ -12,6 +12,8 @@ __all__ = [
     "sym_eigs_topk",
     "kmeans",
     "regularized_laplacian",
+    "graph_eigenvectors",
+    "unit_rows",
     "spectral_clustering",
     "nmf_init_from_partition",
 ]
@@ -34,7 +36,7 @@ def sym_eigs_topk(m: np.ndarray, k: int) -> EigenPairs:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not 1 <= k <= m.shape[0]:
-        raise ValueError(f"k={k} out of range for n={m.shape[0]}")
+        raise InvalidInputError(f"k={k} out of range for n={m.shape[0]}")
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -112,7 +114,7 @@ def kmeans(
     if points.ndim != 2:
         raise ValueError("points must be an N x D matrix")
     if not 1 <= k <= points.shape[0]:
-        raise ValueError(f"k={k} out of range for {points.shape[0]} points")
+        raise InvalidInputError(f"k={k} out of range for {points.shape[0]} points")
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, np.inf
     for _ in range(max(1, restarts)):
@@ -139,6 +141,32 @@ def regularized_laplacian(g: Graph, tau: Optional[float] = None) -> np.ndarray:
     return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
 
 
+def graph_eigenvectors(
+    g: Graph, k: int, matrix: str = "laplacian", tau: Optional[float] = None
+) -> np.ndarray:
+    """The n x k top eigenvectors of one of the graph's matrices.
+
+    matrix: "laplacian" (L), "regularized" (L_tau, with ``tau`` as in
+    ``regularized_laplacian``) or "adjacency" (A).  The dense n x n matrix
+    is built and dropped inside the call.
+    """
+    if matrix == "laplacian":
+        m = normalized_laplacian(g)
+    elif matrix == "regularized":
+        m = regularized_laplacian(g, tau=tau)
+    elif matrix == "adjacency":
+        m = g.adjacency
+    else:
+        raise InvalidInputError(f"unknown graph matrix {matrix!r}")
+    return sym_eigs_topk(m, k).vectors
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows are left alone."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0, norms, 1.0)[:, None]
+
+
 def spectral_clustering(
     g: Graph,
     k: int,
@@ -157,15 +185,11 @@ def spectral_clustering(
       * "regularized_no_projection": same without the row normalization.
     """
     if variant == "plain":
-        lap = normalized_laplacian(g)
-        rows = sym_eigs_topk(lap, k).vectors
+        rows = graph_eigenvectors(g, k, "laplacian")
     elif variant in ("regularized", "regularized_no_projection"):
-        lap = regularized_laplacian(g, tau=tau)
-        rows = sym_eigs_topk(lap, k).vectors
+        rows = graph_eigenvectors(g, k, "regularized", tau=tau)
         if variant == "regularized":
-            norms = np.linalg.norm(rows, axis=1)
-            safe = np.where(norms > 0, norms, 1.0)
-            rows = rows / safe[:, None]
+            rows = unit_rows(rows)
     else:
         raise ValueError(f"unknown spectral variant {variant!r}")
     return kmeans(rows, k, seed=seed, restarts=restarts)

@@ -1,25 +1,33 @@
 """Benchmark harness: specs, simulation sweeps, CSV, winners, realdata."""
 
+import time
+
 import numpy as np
 import pytest
 
 import blockfactor.bench as bench
+import blockfactor.spectral as spectral
 from blockfactor.bench import (
     CSV_COLUMNS,
+    METHODS,
     ExperimentSpec,
     format_winner_table,
     read_csv,
     realdata_table,
     rows_to_csv_text,
     run_method,
+    run_methods,
     run_simulation,
     summarize,
     verify_csv_rows,
     winner_counts,
     write_csv,
 )
-from blockfactor.errors import BlockfactorError
-from blockfactor.graphs import Graph
+from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
+from blockfactor.datasets import load_dataset
+from blockfactor.errors import BlockfactorError, InvalidInputError
+from blockfactor.factorization import SolverConfig
+from blockfactor.graphs import Graph, largest_connected_component
 
 
 def tiny_spec(**overrides):
@@ -205,21 +213,21 @@ class TestRunMethod:
     def test_target_built_after_reg_spectral_partition(self, monkeypatch):
         # the dense target and the partition's own dense matrices never coexist
         calls = []
-
-        def recording(name):
-            real = getattr(bench, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("normalized_laplacian", "spectral_clustering"):
-            monkeypatch.setattr(bench, name, recording(name))
+        for module, name in (
+            (spectral, "regularized_laplacian"), (bench, "kmeans"), (bench, "normalized_laplacian"),
+        ):
+            monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         run_method(g, 2, "osntf", seed=0)
-        assert calls == ["spectral_clustering", "normalized_laplacian"]
+        assert calls == ["regularized_laplacian", "kmeans", "normalized_laplacian"]
+
+    def test_target_built_after_spectral_init_partition(self, monkeypatch):
+        calls = []
+        for module, name in ((spectral, "sym_eigs_topk"), (bench, "normalized_laplacian")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+        run_method(g, 2, "snmf", seed=0, init="spectral")
+        assert calls == ["sym_eigs_topk", "normalized_laplacian"]
 
     def test_adjacency_matrix_path(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
@@ -231,6 +239,155 @@ class TestRunMethod:
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         out = run_method(g, 2, "snmf", seed=0, init="spectral")
         assert out.iterations > 0
+
+
+def recording(real, name, calls):
+    """``real``, appending ``name`` to ``calls`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+def forbid(monkeypatch, *names):
+    """Make each named function fail if called, wherever it is looked up."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for module in (bench, spectral):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+def sbm_graph():
+    g, _ = largest_connected_component(sample_graph(sbm_snr_preset(150, 3, 3.0, 12.0), seed=[5, 1]))
+    return g
+
+
+def dcsbm_graph():
+    params = dcsbm_powerlaw_preset(150, 3, 3.0, 15.0, 2.5, seed=[5, 0])
+    g, _ = largest_connected_component(sample_graph(params, seed=[5, 1]))
+    return g
+
+
+def same_output(a, b) -> bool:
+    """Every field but wall_time_s equal."""
+    return (
+        np.array_equal(a.labels, b.labels)
+        and a.iterations == b.iterations
+        and a.residual == b.residual
+        and a.orthogonality_drift == b.orthogonality_drift
+    )
+
+
+SHARED_OPTIONS = [
+    {},
+    {"matrix": "adjacency"},
+    {"init": "spectral"},
+    {"matrix": "adjacency", "init": "spectral"},
+]
+
+
+@pytest.mark.filterwarnings("ignore:clipped")
+class TestRunMethods:
+    """run_methods shares each eigensolve and partition; its outputs must not show it."""
+
+    @pytest.mark.parametrize("make_graph", [sbm_graph, dcsbm_graph])
+    @pytest.mark.parametrize("options", SHARED_OPTIONS)
+    def test_matches_independent_run_method_calls(self, make_graph, options):
+        g = make_graph()
+        cfg = SolverConfig(max_iters=60)
+        shared = run_methods(g, 3, METHODS, seed=[9, 2], cfg=cfg, **options)
+        for method, out in zip(METHODS, shared):
+            alone = run_method(g, 3, method, seed=[9, 2], cfg=cfg, **options)
+            assert same_output(out, alone), method
+
+    @pytest.mark.parametrize("options", SHARED_OPTIONS)
+    def test_method_order_does_not_matter(self, options):
+        g = dcsbm_graph()
+        cfg = SolverConfig(max_iters=60)
+        forward = run_methods(g, 3, METHODS, seed=1, cfg=cfg, **options)
+        backward = run_methods(g, 3, METHODS[::-1], seed=1, cfg=cfg, **options)
+        for a, b in zip(forward, backward[::-1]):
+            assert same_output(a, b)
+
+    @pytest.mark.parametrize(
+        "methods, eigs, partitions",
+        [
+            (["snmf", "osntf", "spectral", "reg-spectral"], 2, 2),  # fig1a/b
+            (["snmf", "osntf", "spectral", "reg-spectral", "spectral-wp"], 2, 3),  # fig1c
+        ],
+    )
+    def test_one_eigensolve_per_matrix_one_kmeans_per_embedding(
+        self, monkeypatch, methods, eigs, partitions
+    ):
+        calls = []
+        for module in (bench, spectral):
+            for name in ("sym_eigs_topk", "kmeans"):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
+        spec = ExperimentSpec(
+            experiment="cell", model="sbm", n=90, k=3, snr=3.0, avg_degree=[12.0],
+            sweep="avg_degree", methods=methods, replicates=1,
+        )
+        rows = bench._simulate_cell(spec, 12.0, 0)
+        assert [r.method for r in rows] == methods
+        assert calls.count("sym_eigs_topk") == eigs
+        assert calls.count("kmeans") == partitions
+
+    @pytest.mark.parametrize("options", SHARED_OPTIONS)
+    def test_cache_holds_no_n_by_n_array(self, options):
+        g = sbm_graph()
+        stages = bench._SharedStages(g, 3, seed=0, tau=None, restarts=20)
+        cfg = SolverConfig(max_iters=20)
+        for method in METHODS:
+            bench._run_one(stages, method, options.get("matrix", "laplacian"), cfg,
+                           options.get("init", "reg-spectral"))
+        kept = [value for value, _ in stages._done.values()]
+        kept += [v for v in vars(stages).values() if isinstance(v, np.ndarray)]
+        assert kept
+        for value in kept:
+            assert value.shape in {(g.n,), (g.n, 3)}
+
+    def test_wall_time_is_the_standalone_cost(self, monkeypatch):
+        # every method below uses the L_tau eigensolve, whichever runs it
+        def slow_eigenvectors(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        real = bench.graph_eigenvectors
+        monkeypatch.setattr(bench, "graph_eigenvectors", slow_eigenvectors)
+        g = sbm_graph()
+        cfg = SolverConfig(max_iters=5)
+        for methods in (["reg-spectral", "spectral-wp", "osntf"], ["osntf", "spectral-wp", "reg-spectral"]):
+            for out in run_methods(g, 3, methods, seed=0, cfg=cfg):
+                assert out.wall_time_s >= 0.05
+
+    @pytest.mark.parametrize("k", [0, 35, 40, 2.0])
+    def test_k_outside_the_graph_fails_before_any_work(self, monkeypatch, k):
+        g, _ = load_dataset("karate")
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        with pytest.raises(InvalidInputError, match="k must"):
+            run_methods(g, k, ["spectral", "osntf"], seed=0)
+        with pytest.raises(InvalidInputError):
+            run_method(g, k, "osntf", seed=0)
+
+    def test_unknown_method_later_in_the_list_fails_before_any_work(self, monkeypatch):
+        g, _ = load_dataset("karate")
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        with pytest.raises(InvalidInputError, match="louvain"):
+            run_methods(g, 2, ["spectral", "louvain"], seed=0)
+
+    def test_realdata_table_matches_run_method(self):
+        rows = realdata_table("karate", methods=list(METHODS), seed=0)
+        g, _ = load_dataset("karate")
+        for row in rows:
+            alone = run_method(g, 2, row["method"], seed=0)
+            assert np.array_equal(row["labels"], alone.labels)
+            assert row["iterations"] == alone.iterations
 
 
 class TestRealdata:

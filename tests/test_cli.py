@@ -77,6 +77,12 @@ class TestFactorize:
         assert main(["factorize", "/nonexistent/graph.txt", "--k", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_k_above_node_count_errors(self, capsys):
+        from blockfactor.datasets import data_dir
+
+        assert main(["factorize", str(data_dir() / "karate.gml"), "--k", "100"]) == 2
+        assert "k must be an integer in [1, 34]" in capsys.readouterr().err
+
     def test_negative_tau_errors(self, k3_file, capsys):
         argv = ["factorize", str(k3_file), "--k", "2", "--method", "reg-spectral", "--tau", "-3"]
         assert main(argv) == 2

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import random_full_rank_sbm, topk_by_magnitude
+from conftest import random_full_rank_dcsbm, random_full_rank_sbm, topk_by_magnitude
 
 from blockfactor.blockmodels import membership_matrix, population_laplacian
 from blockfactor.errors import (
     AllZeroRowError,
+    BlockfactorError,
     DimensionMismatchError,
+    InvalidInputError,
     NonFiniteUpdateError,
 )
 from blockfactor.factorization import (
@@ -233,6 +235,44 @@ class TestSweepLoop:
         x = np.eye(4) + 0.5
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
             solver(x, 2, np.full((4, 2), 1e160), SolverConfig(max_iters=50, rel_tol=0.0))
+
+
+    @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_never_stops_before_the_dense_replay(self, generator, method):
+        # near 1e-6 relative residual the identity's rounding noise exceeds
+        # a 1e-6 relative change, so its trace alone must not end the solve
+        rng = np.random.default_rng(0)
+        x = population_laplacian(generator(rng, n=60, k=3))
+        part = kmeans(topk_by_magnitude(x, 3), 3, seed=0)
+        h0 = nmf_init_from_partition(part, 3, offset=0.02)
+        cfg = SolverConfig(max_iters=3000, rel_tol=1e-6)
+        f = (snmf if method == "snmf" else osntf)(x, 3, h0, cfg)
+        _, _, trace = replay(x, h0, cfg.max_iters, method)
+        hits = np.flatnonzero(np.abs(np.diff(trace)) < cfg.rel_tol * trace[:-1])
+        dense_stop = int(hits[0]) + 1 if hits.size else cfg.max_iters
+        assert f.iterations >= dense_stop
+        if method == "snmf":
+            # SNMF cannot fit these indefinite matrices: its residual stays
+            # far above the noise, where the stop rule is as before
+            assert f.converged and f.iterations == dense_stop
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", [snmf, osntf])
+    def test_non_finite_entry_is_a_typed_error(self, solver, bad):
+        x = np.eye(3)
+        x[0, 0] = bad
+        with pytest.raises(InvalidInputError, match="finite") as exc:
+            solver(x, 1, np.ones((3, 1)))
+        assert isinstance(exc.value, BlockfactorError) and isinstance(exc.value, ValueError)
+
+    def test_off_diagonal_nan_is_not_called_asymmetric(self):
+        x = np.eye(3)
+        x[0, 1] = x[1, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            snmf(x, 1, np.ones((3, 1)))
 
 
 class TestAssignCommunities:
