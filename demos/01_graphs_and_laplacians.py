@@ -25,9 +25,9 @@ except Exception as exc:
     print("as expected:", exc)
 lcc, index_map = largest_connected_component(g)
 print("largest component has", lcc.n, "nodes; old->new map:", index_map)
-lap = normalized_laplacian(lcc)
+lap = normalized_laplacian(lcc)  # a sparse (CSR) matrix
 print("Laplacian row sums:", np.round(lap.sum(axis=1), 3))
-print("eigenvalues lie in [-1, 1]:", np.round(np.linalg.eigvalsh(lap), 3))
+print("eigenvalues lie in [-1, 1]:", np.round(np.linalg.eigvalsh(lap.toarray()), 3))
 
 # directed pairs collapse to a simple undirected graph
 directed = [(0, 1), (1, 0), (2, 2), (1, 2)]

@@ -133,7 +133,7 @@ def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str,
 
 
 def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig, init: str):
-    """One method on the shared graph; its dense target is freed on return.
+    """One method on the shared graph; its CSR target is freed on return.
 
     The partition, computed here or reused, is charged at its recorded cost.
     """
@@ -149,9 +149,9 @@ def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig,
         out = MethodOutput(labels=labels)
     else:
         # the target is built after the seeding partition, so it never
-        # coexists with the eigensolve's own dense matrix
+        # coexists with the eigensolve's own matrix
         g, k = stages.g, stages.k
-        x = normalized_laplacian(g) if matrix == "laplacian" else np.array(g.adjacency)
+        x = normalized_laplacian(g) if matrix == "laplacian" else g.adjacency
         h0 = nmf_init_from_partition(labels, k, offset=cfg.init_offset)
         f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
         out = MethodOutput(

@@ -10,6 +10,10 @@ multiplicative rules only approximately preserve it, and the drift
 ||H^T H - I||_F is reported as a diagnostic instead.  Entries of H that
 are exactly zero are fixed points of both rules, hence the requirement
 of a strictly positive starting point.
+
+X may be a dense array or a scipy CSR array (as the graph matrices of
+``blockfactor.graphs`` are).  A sweep touches X only through one
+product X H, which costs O(mk) for CSR X with m stored entries.
 """
 
 import math
@@ -25,6 +29,7 @@ from .errors import (
     InvalidInputError,
     NonFiniteUpdateError,
 )
+from .graphs import as_csr
 
 __all__ = [
     "SolverConfig",
@@ -83,7 +88,7 @@ class Factorization:
     (S = I for SNMF), which reuses the sweep's X H and costs O(n k^2)
     beyond it.  Cancellation sets its floor at about 1e-8 * ||X||_F, far
     below the 1e-6 relative residual that exact recovery asks for; use
-    ``frobenius_residual`` where the exact value matters.
+    ``frobenius_residual`` on dense X where the exact value matters.
     """
 
     h: np.ndarray
@@ -95,8 +100,28 @@ class Factorization:
     method: str = field(default="", repr=False)
 
 
-def _check_solver_inputs(x: np.ndarray, x_sq: float, k: int, h0: np.ndarray):
-    """Shape, finiteness, symmetry and sign checks; ``x_sq`` is ``||x||_F^2``."""
+def _matrix(x):
+    """``x`` as a float64 CSR array if it is sparse, else as a dense float64 array."""
+    csr = as_csr(x)
+    return np.asarray(x, dtype=np.float64) if csr is None else csr
+
+
+def _entries(x) -> np.ndarray:
+    """The stored entries of a ``_matrix``; ||x||_F is their 2-norm."""
+    return x if isinstance(x, np.ndarray) else x.data
+
+
+def _is_symmetric(x) -> bool:
+    """Symmetric to within 1e-8 per entry; O(m) for CSR x."""
+    if isinstance(x, np.ndarray):
+        # exact equality implies the tolerance test and is several times cheaper
+        return np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)
+    return np.abs((x - x.T).data).max(initial=0.0) <= 1e-8
+
+
+def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
+    """Shape, finiteness, symmetry and sign checks; ``x`` is dense or CSR
+    (from ``_matrix``) and ``x_sq`` is ``||x||_F^2``."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatchError(f"x must be square, got shape {x.shape}")
     n = x.shape[0]
@@ -104,15 +129,15 @@ def _check_solver_inputs(x: np.ndarray, x_sq: float, k: int, h0: np.ndarray):
         raise DimensionMismatchError(
             f"h0 must have shape ({n}, {k}), got {h0.shape}"
         )
+    entries = _entries(x)
     # Only a NaN or infinite entry, or an overflowing norm, makes x_sq
     # non-finite.  Tested before symmetry, which NaN would fail; finite x
     # whose norm overflows is left to the sweep loop's NonFiniteUpdateError.
-    if not math.isfinite(x_sq) and not np.isfinite(x).all():
+    if not math.isfinite(x_sq) and not np.isfinite(entries).all():
         raise InvalidInputError("x must be finite (it has NaN or infinite entries)")
-    # exact equality implies the tolerance test and is several times cheaper
-    if not (np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)):
+    if not _is_symmetric(x):
         raise InvalidInputError("x must be symmetric")
-    if x.min() < 0:
+    if entries.min(initial=0.0) < 0:
         raise InvalidInputError("x must be nonnegative")
     if h0.min() <= 0:
         raise InvalidInputError(
@@ -121,8 +146,15 @@ def _check_solver_inputs(x: np.ndarray, x_sq: float, k: int, h0: np.ndarray):
         )
 
 
-def frobenius_residual(x: np.ndarray, h: np.ndarray, s: Optional[np.ndarray] = None) -> float:
-    """||x - h s h^T||_F, or ||x - h h^T||_F when s is None."""
+def frobenius_residual(x, h: np.ndarray, s: Optional[np.ndarray] = None) -> float:
+    """||x - h s h^T||_F, or ||x - h h^T||_F when s is None.
+
+    Exact for dense x.  For CSR x it is the Gram identity's value (see
+    ``Factorization``), which needs no n x n array.
+    """
+    csr = as_csr(x)
+    if csr is not None:
+        return _residual_from(float(np.vdot(csr.data, csr.data)), csr @ h, h, s)
     if s is None:
         approx = h @ h.T
     else:
@@ -130,20 +162,31 @@ def frobenius_residual(x: np.ndarray, h: np.ndarray, s: Optional[np.ndarray] = N
     return float(np.linalg.norm(x - approx))
 
 
-def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
-    """``frobenius_residual(x, h, s)`` from ``x_sq = ||x||^2`` and ``xh = x @ h``.
-
-    A square below zero is cancellation noise and reads as 0; a
-    non-finite one stays non-finite so the caller can detect it.
-    """
+def _identity_sq(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
     gram = h.T @ h
     if s is None:
-        r_sq = x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)
-    else:
-        # S need not be symmetric: ||H S H^T||^2 = <S, G S G>, not <S G, (G S)^T>
-        r_sq = x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram)
-    r_sq = float(r_sq)
-    return math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else math.nan
+        return float(x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram))
+    # S need not be symmetric: ||H S H^T||^2 = <S, G S G>, not <S G, (G S)^T>
+    return float(x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram))
+
+
+def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
+    """``||x - h s h^T||_F`` from ``x_sq = ||x||^2`` and ``xh = x @ h``.
+
+    A square below zero is cancellation noise and reads as 0; a
+    non-finite one stays non-finite so the caller can detect it.  If a
+    term overflows while ``x_sq`` is finite, the identity is evaluated
+    again on h * 2^-e and xh * 2^-3e, with 2^4e near ``x_sq``: every term
+    of r^2 then scales by exactly 2^-4e, and r by 2^-2e.
+    """
+    e = 0
+    r_sq = _identity_sq(x_sq, xh, h, s)
+    if not math.isfinite(r_sq) and math.isfinite(x_sq):
+        e = math.frexp(x_sq)[1] // 4
+        r_sq = _identity_sq(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
+    if not math.isfinite(r_sq):
+        return math.nan
+    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e)
 
 
 def _relative_change(prev: float, cur: float) -> float:
@@ -223,14 +266,15 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
     without one; ``update(xh, h, s, guard)`` returns the next ``(h, s)``,
     where ``xh = x @ h``.  Each sweep forms ``x @ h`` once, for the new H:
     it feeds both that sweep's residual and the next update, and no n x n
-    array is built inside the loop.  Stops once the relative residual
-    change drops below ``cfg.rel_tol``, unless that change is within the
-    identity's rounding noise (then it keeps going, up to ``cfg.max_iters``),
-    and raises NonFiniteUpdateError as soon as a residual is not finite.
+    array is built inside the loop; ``x`` may be dense or CSR.  Stops once
+    the relative residual change drops below ``cfg.rel_tol``, unless that
+    change is within the identity's rounding noise (then it keeps going,
+    up to ``cfg.max_iters``), and raises NonFiniteUpdateError as soon as a
+    residual is not finite.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _matrix(x)
     h = np.array(h0, dtype=np.float64)
-    x_sq = float(np.vdot(x, x))
+    x_sq = float(np.vdot(_entries(x), _entries(x)))
     _check_solver_inputs(x, x_sq, k, h)
     # The identity's r^2 is off by up to about n k eps ||X||^2 (measured at
     # most 12 eps ||X||^2 at n = 60 and 57 at n = 300).  A relative change
@@ -247,7 +291,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
         trace.append(_residual_from(x_sq, xh, h, s))
         if not np.isfinite(trace[-1]):
             raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
-        resolvable = 2.0 * cfg.rel_tol * trace[-2] ** 2 > noise_sq
+        resolvable = 2.0 * cfg.rel_tol * (trace[-2] * trace[-2]) > noise_sq
         if resolvable and _relative_change(trace[-2], trace[-1]) < cfg.rel_tol:
             converged = True
             break
@@ -274,19 +318,19 @@ def assign_communities(h: np.ndarray) -> np.ndarray:
     return h.argmax(axis=1).astype(np.int64)
 
 
-def osntf_objective(x: np.ndarray, h: np.ndarray) -> float:
+def osntf_objective(x, h: np.ndarray) -> float:
     """||h^T x h||_F, the quantity the tri-factorization maximizes.
 
     For h with orthonormal columns, minimizing ||x - h s h^T||_F with
     s = h^T x h is equivalent to maximizing this value.
     """
-    x = np.asarray(x)
+    x = _matrix(x)
     h = np.asarray(h)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or h.ndim != 2 or h.shape[0] != x.shape[0]:
         raise DimensionMismatchError(
             f"incompatible shapes x={x.shape}, h={h.shape}"
         )
-    return float(np.linalg.norm(h.T @ x @ h))
+    return float(np.linalg.norm(h.T @ (x @ h)))
 
 
 @dataclass(frozen=True)
@@ -300,7 +344,7 @@ class ExactnessReport:
 
 
 def exactness_diagnostics(
-    x: np.ndarray, f: Factorization, sparsity_threshold: float = 1e-6
+    x, f: Factorization, sparsity_threshold: float = 1e-6
 ) -> ExactnessReport:
     """Residual, orthogonality drift and the one-nonzero-per-row score.
 
@@ -310,9 +354,9 @@ def exactness_diagnostics(
     largest) equals 1.0 there.  Iteratively solved factorizations
     approach that structure slowly; probe them with a looser threshold.
     """
-    x = np.asarray(x)
+    x = _matrix(x)
     residual = frobenius_residual(x, f.h, f.s)
-    norm_x = float(np.linalg.norm(x))
+    norm_x = float(np.linalg.norm(_entries(x)))
     drift = float(np.linalg.norm(f.h.T @ f.h - np.eye(f.h.shape[1])))
     if f.h.shape[1] == 1:
         sparse_rows = float(np.mean(f.h.max(axis=1) > 0))

@@ -1,5 +1,12 @@
-"""Undirected simple graphs: construction, degrees, Laplacians, components."""
+"""Undirected simple graphs: construction, degrees, Laplacians, components.
 
+Graph matrices (the adjacency matrix and the normalized Laplacian) are
+scipy CSR (compressed sparse row) arrays built from ``Graph.edge_array``
+on demand, O(n + m) in time and memory.  scipy is imported on the first
+such build, not when this module is imported.
+"""
+
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -98,20 +105,43 @@ class Graph:
         a.setflags(write=False)
         return a
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (read-only)."""
-        a = _scaled_adjacency(self, np.ones(self.n))
-        a.setflags(write=False)
-        return a
+    @property
+    def adjacency(self):
+        """Symmetric 0/1 adjacency matrix as a read-only CSR array, built
+        on each access (nothing n x n is kept on the graph)."""
+        return _scaled_adjacency(self, np.ones(self.n))
 
 
-def _scaled_adjacency(g: Graph, w: np.ndarray) -> np.ndarray:
-    """Dense W A W for the diagonal node weights w: entry (i, j) is w_i * w_j on edges."""
+def _scaled_adjacency(g: Graph, w: np.ndarray):
+    """W A W for the diagonal node weights w, as a read-only CSR array.
+
+    Entry (i, j) is w_i * w_j on edges, so ``toarray()`` is exactly
+    symmetric.  Indices are sorted and unique (canonical CSR).
+    """
+    from scipy import sparse
+
     i, j = g.edge_array.T
-    a = np.zeros((g.n, g.n))
-    a[i, j] = a[j, i] = w[i] * w[j]
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    a = sparse.csr_array((w[rows] * w[cols], (rows, cols)), shape=(g.n, g.n))
+    a.data.setflags(write=False)
     return a
+
+
+def as_csr(x):
+    """``x`` as a float64 CSR array in canonical form if it is a scipy
+    sparse matrix, else None.
+
+    Only a module that has already imported scipy.sparse can have made a
+    sparse ``x``, so dense callers never load scipy through this test.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is None or not sparse.issparse(x):
+        return None
+    x = sparse.csr_array(x, dtype=np.float64)
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    return x
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -119,8 +149,8 @@ def degrees(g: Graph) -> np.ndarray:
     return np.bincount(g.edge_array.ravel(), minlength=g.n)
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """L = D^{-1/2} A D^{-1/2} with exact symmetry.
+def normalized_laplacian(g: Graph):
+    """L = D^{-1/2} A D^{-1/2} as a read-only CSR array, exactly symmetric.
 
     Raises IsolatedNodeError if any node has degree 0; callers should
     restrict to the largest connected component first.

@@ -24,10 +24,11 @@ from blockfactor.bench import (
     write_csv,
 )
 from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
-from blockfactor.datasets import load_dataset
+from blockfactor.datasets import karate, load_dataset
 from blockfactor.errors import BlockfactorError, InvalidInputError
-from blockfactor.factorization import SolverConfig
+from blockfactor.factorization import SolverConfig, assign_communities, osntf
 from blockfactor.graphs import Graph, largest_connected_component
+from blockfactor.spectral import nmf_init_from_partition, spectral_clustering
 
 
 def tiny_spec(**overrides):
@@ -234,6 +235,14 @@ class TestRunMethod:
         out = run_method(g, 2, "osntf", seed=0, matrix="adjacency")
         assert out.labels.shape == (6,)
         assert out.residual is not None
+
+    def test_adjacency_target_not_kept_on_the_graph(self):
+        g, _ = karate()
+        out = run_method(g, 2, "osntf", seed=0, matrix="adjacency")
+        assert "adjacency" not in g.__dict__
+        x = g.adjacency.toarray()
+        h0 = nmf_init_from_partition(spectral_clustering(g, 2, "regularized", seed=0), 2)
+        assert np.array_equal(out.labels, assign_communities(osntf(x, 2, h0).h))
 
     def test_spectral_init_path(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])

@@ -1,5 +1,7 @@
 """SNMF and OSNTF solvers: fixed points, recovery oracles, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import random_full_rank_dcsbm, random_full_rank_sbm, topk_by_magnitude
@@ -109,7 +111,7 @@ class TestOsntf:
     def test_two_cliques_block_recovery(self):
         g, truth = clique_pair_graph()
         lap = normalized_laplacian(g)
-        part = kmeans(topk_by_magnitude(lap, 2), 2, seed=0)
+        part = kmeans(topk_by_magnitude(lap.toarray(), 2), 2, seed=0)
         f = osntf(lap, 2, nmf_init_from_partition(part, 2))
         rate, _ = misclustering_rate(truth, assign_communities(f.h))
         assert rate == 0.0
@@ -236,6 +238,50 @@ class TestSweepLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
             solver(x, 2, np.full((4, 2), 1e160), SolverConfig(max_iters=50, rel_tol=0.0))
 
+
+    def test_overflowing_identity_terms_are_rescaled(self):
+        # ||X||^2 = 1e308 is finite, but 2 <H, XH> overflows; h0 is an exact
+        # factor, so the residual must stay near 0, not turn non-finite
+        x = 2.5e153 * np.ones((4, 4))
+        h0 = np.sqrt(1.25e153) * np.ones((4, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = snmf(x, 2, h0)
+        assert np.isfinite(f.objective_trace).all()
+        assert f.objective_trace[-1] <= 1e-6 * np.linalg.norm(x)
+        # a start whose residual exceeds sqrt(float max): the stop test's
+        # r^2 overflows to inf instead of raising a bare OverflowError
+        x = 3e153 * np.ones((4, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = snmf(x, 2, 1e77 * np.ones((4, 2)))
+        assert f.objective_trace[0] > 1.4e154
+        assert f.objective_trace[-1] <= 1e-6 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
+    @pytest.mark.parametrize("solver", [snmf, osntf])
+    def test_finite_traces_unchanged_by_the_rescaling(self, monkeypatch, n, generator, solver):
+        # population-recovery's instances and solver settings (fewer sweeps
+        # at n = 300), solved again with the identity as it was before the
+        # overflow rescaling: the traces must be bit-identical
+        from blockfactor import factorization
+
+        def identity_without_rescaling(x_sq, xh, h, s):
+            gram = h.T @ h
+            if s is None:
+                r_sq = x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)
+            else:
+                r_sq = x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram)
+            r_sq = float(r_sq)
+            return math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else math.nan
+
+        rng = np.random.default_rng(11)
+        params = generator(rng, n=n, k=3)
+        x = population_laplacian(params)
+        h0 = nmf_init_from_partition(kmeans(topk_by_magnitude(x, 3), 3, seed=0), 3, offset=0.02)
+        cfg = SolverConfig(max_iters=12000 if n == 60 else 3000, rel_tol=0.0)
+        trace = solver(x, 3, h0, cfg).objective_trace
+        monkeypatch.setattr(factorization, "_residual_from", identity_without_rescaling)
+        assert np.array_equal(trace, solver(x, 3, h0, cfg).objective_trace)
 
     @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
     @pytest.mark.parametrize("method", ["snmf", "osntf"])

@@ -84,7 +84,7 @@ class TestGraphType:
     def test_adjacency_symmetric_binary_zero_diagonal(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 12, 0.3)
-        a = g.adjacency
+        a = g.adjacency.toarray()
         assert np.array_equal(a, a.T)
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert np.all(np.diag(a) == 0)
@@ -125,10 +125,10 @@ class TestDegrees:
 class TestNormalizedLaplacian:
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        assert np.array_equal(normalized_laplacian(g), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(normalized_laplacian(g).toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_triangle_half_offdiagonal(self):
-        lap = normalized_laplacian(K3)
+        lap = normalized_laplacian(K3).toarray()
         expected = (np.ones((3, 3)) - np.eye(3)) / 2
         np.testing.assert_allclose(lap, expected, rtol=0, atol=1e-15)
 
@@ -152,7 +152,7 @@ class TestNormalizedLaplacian:
             g = random_graph(rng, 20, 0.4)
             if (degrees(g) == 0).any():
                 continue
-            lap = normalized_laplacian(g)
+            lap = normalized_laplacian(g).toarray()
             assert np.array_equal(lap, lap.T)
             assert lap.min() >= 0 and lap.max() <= 1
             assert np.all(np.diag(lap) == 0)
@@ -161,18 +161,18 @@ class TestNormalizedLaplacian:
         rng = np.random.default_rng(9)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 30)), 0.3)
-            a = g.adjacency
+            a = g.adjacency.toarray()
             d = a.sum(axis=1)
             for tau in (0.0, 0.5, None):
                 t = d.mean() if tau is None else tau
                 reg = np.where(d + t > 0, d + t, 1.0)
                 expected = a / np.sqrt(np.outer(reg, reg))
                 np.testing.assert_allclose(
-                    regularized_laplacian(g, tau=tau), expected, rtol=0, atol=1e-15
+                    regularized_laplacian(g, tau=tau).toarray(), expected, rtol=0, atol=1e-15
                 )
             if d.min() > 0:
                 np.testing.assert_allclose(
-                    normalized_laplacian(g), a / np.sqrt(np.outer(d, d)), rtol=0, atol=1e-15
+                    normalized_laplacian(g).toarray(), a / np.sqrt(np.outer(d, d)), rtol=0, atol=1e-15
                 )
 
     def test_eigenvalues_within_unit_range(self):
@@ -181,7 +181,7 @@ class TestNormalizedLaplacian:
             g = random_graph(rng, 18, 0.35)
             if (degrees(g) == 0).any():
                 continue
-            vals = np.linalg.eigvalsh(normalized_laplacian(g))
+            vals = np.linalg.eigvalsh(normalized_laplacian(g).toarray())
             assert vals.min() >= -1 - 1e-10 and vals.max() <= 1 + 1e-10
 
 

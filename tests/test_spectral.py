@@ -156,7 +156,7 @@ class TestSpectralClustering:
 
     def test_regularized_laplacian_default_tau(self):
         g = two_cliques()
-        lap = regularized_laplacian(g)
+        lap = regularized_laplacian(g).toarray()
         assert np.array_equal(lap, lap.T)
         assert lap.max() < 1.0  # regularization strictly shrinks entries
 
