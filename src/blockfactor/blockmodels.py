@@ -187,25 +187,147 @@ def population_laplacian(p: BlockModel) -> np.ndarray:
     return b_l[p.z[:, None], p.z[None, :]] * (sqrt_theta[:, None] * sqrt_theta[None, :])
 
 
-def sample_graph(p: BlockModel, seed) -> Graph:
-    """One Bernoulli draw per node pair, deterministic given the seed.
+def _rates(p: BlockModel) -> tuple[np.ndarray, np.ndarray]:
+    """Block rates C and node weights t with population entries C[z_i, z_j] * (t_i * t_j)."""
+    if isinstance(p, SbmParams):
+        return p.b, np.ones(p.n)
+    return p.b_prime, p.theta
 
-    DCSBM entries above 1 are clipped to 1 before sampling; a warning
-    reports the clipped fraction.
+
+def _first_above(c: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
+    """Per i, the first index into ascending ``tj`` with c_i * (ti_i * tj) > 1.
+
+    searchsorted finds it from the rounded threshold 1 / (c_i * ti_i); the
+    steps after it move to the boundary of the product as
+    ``population_adjacency`` rounds it, which is monotone in tj.
     """
-    probs = population_adjacency(p)
-    over = probs > 1.0
-    if over.any():
-        frac = over.sum() / over.size
+    with np.errstate(divide="ignore"):
+        cut = np.searchsorted(tj, 1.0 / (c * ti), side="right")
+    last = tj.size - 1
+
+    def above(at):
+        return (at >= 0) & (at <= last) & (c * (ti * tj[np.clip(at, 0, last)]) > 1.0)
+
+    while (back := above(cut - 1)).any():
+        cut -= back
+    while (on := (cut <= last) & ~above(cut)).any():
+        cut += on
+    return cut
+
+
+def _clipped_entries(z: np.ndarray, t: np.ndarray, rates: np.ndarray) -> int:
+    """How many of the n^2 entries rates[z_i, z_j] * (t_i * t_j) exceed 1, in O(n log n)."""
+    count = 0
+    for r in range(rates.shape[0]):
+        tr = np.sort(t[z == r])
+        count += int((tr.size - _first_above(rates[z, r], t, tr)).sum())
+    return count
+
+
+def _clipped_mean_degree(z: np.ndarray, t: np.ndarray, rates: np.ndarray) -> float:
+    """The mean over i of sum_j min(1, rates[z_i, z_j] * t_i * t_j), in O(n log n).
+
+    Against block r, sorted by t, node i's entries clip from one
+    searchsorted position on; below it they sum to rate * t_i times a
+    prefix sum of block r's t.
+    """
+    total = 0.0
+    for r in range(rates.shape[0]):
+        tr = np.sort(t[z == r])
+        below = np.concatenate(([0.0], np.cumsum(tr)))
+        rate = rates[z, r] * t
+        with np.errstate(divide="ignore"):
+            cut = np.searchsorted(tr, 1.0 / rate, side="right")
+        total += float((tr.size - cut).sum() + (rate * below[cut]).sum())
+    return total / z.size
+
+
+def _skip_positions(rng, sizes: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Independent Bernoulli(probs[s]) trials on range(sizes[s]) for every
+    segment s, as the (segment, index) pairs of the successes.
+
+    Geometric skipping: the gaps between successive successes are iid
+    Geometric(p), so each round draws a few more gaps per unfinished segment
+    than its expected remaining count and sums them within the segment.
+    A gap is capped at sizes[s] + 1, which leaves the range either way.
+    """
+    segs, hits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    last = np.full(sizes.size, -1, dtype=np.int64)
+    todo = np.flatnonzero((sizes > 0) & (probs > 0))
+    while todo.size:
+        mean = (sizes[todo] - 1 - last[todo]) * probs[todo]
+        draws = np.ceil(mean + 4.0 * np.sqrt(mean) + 4.0).astype(np.int64)
+        seg = np.repeat(todo, draws)
+        gaps = np.minimum(rng.geometric(probs[seg]), sizes[seg] + 1)
+        total = np.cumsum(gaps)
+        ends = np.cumsum(draws)
+        before = np.repeat(np.concatenate(([0], total[ends[:-1] - 1])), draws)
+        at = last[seg] + total - before
+        inside = at < sizes[seg]
+        segs.append(seg[inside])
+        hits.append(at[inside])
+        last[todo] = at[ends - 1]
+        todo = todo[last[todo] < sizes[todo] - 1]
+    return np.concatenate(segs), np.concatenate(hits)
+
+
+def _unrank_pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j numbered idx in the order (0, 1), (0, 2), (1, 2), (0, 3), ...
+
+    j comes from the square root.  From about idx = 2^50 on, the float root
+    can round up across a triangular number, never down; one exact integer
+    step down fixes it.
+    """
+    j = ((1.0 + np.sqrt(1.0 + 8.0 * idx)) // 2).astype(np.int64)
+    j -= j * (j - 1) // 2 > idx
+    return idx - j * (j - 1) // 2, j
+
+
+def sample_graph(p: BlockModel, seed) -> Graph:
+    """One independent Bernoulli(p_ij) draw per node pair i < j, with
+    p_ij = min(1, C[z_i, z_j] * (t_i * t_j)); t is 1 under the SBM and
+    theta under the DCSBM.  Deterministic given the seed.
+
+    Expected O(n + m) time and memory for m edges (Batagelj & Brandes,
+    Phys. Rev. E 2005; Miller & Hagberg, WAW 2011).  Nodes are grouped by
+    block and by the binary exponent of t, so t varies by less than 2x
+    within a group.  Each pair of groups has the upper bound
+    min(1, C * (t_max * t_max')) on its p_ij, and geometric skipping
+    selects each of its pairs with that probability; a selected pair is
+    then kept with probability p_ij / bound, at least 1/4.
+
+    DCSBM entries above 1 are clipped to 1; a warning reports the
+    fraction of the n^2 population entries that were.
+    """
+    rates, t = _rates(p)
+    clipped = _clipped_entries(p.z, t, rates)
+    if clipped:
         warnings.warn(
-            f"clipped {frac:.4%} of population entries above 1 before sampling",
+            f"clipped {clipped / p.n**2:.4%} of population entries above 1 before sampling",
             stacklevel=2,
         )
-        probs = np.minimum(probs, 1.0)
+    # nodes sorted by block, then binary exponent of t, then index
+    exponent = np.frexp(t)[1]
+    order = np.lexsort((exponent, p.z))
+    zs, es = p.z[order], exponent[order]
+    starts = np.flatnonzero(np.r_[True, (zs[1:] != zs[:-1]) | (es[1:] != es[:-1])])
+    sizes = np.diff(starts, append=p.n)
+    block = zs[starts]
+    top = np.maximum.reduceat(t[order], starts)
+    a, b = np.triu_indices(starts.size)
+    pairs = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+    bound = np.minimum(1.0, rates[block[a], block[b]] * (top[a] * top[b]))
+
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(p.n, k=1)
-    hit = rng.random(iu.shape[0]) < probs[iu, ju]
-    return Graph.from_edges(p.n, np.column_stack((iu[hit], ju[hit])))
+    seg, idx = _skip_positions(rng, pairs, bound)
+    a, b = a[seg], b[seg]
+    i, j = np.divmod(idx, sizes[b])
+    within = np.flatnonzero(a == b)
+    i[within], j[within] = _unrank_pairs(idx[within])
+    i, j = order[starts[a] + i], order[starts[b] + j]
+    prob = np.minimum(1.0, rates[p.z[i], p.z[j]] * (t[i] * t[j]))
+    keep = rng.random(i.size) < prob / bound[seg]
+    return Graph.from_edges(p.n, np.column_stack((i[keep], j[keep])))
 
 
 def _balanced_labels(n: int, k: int) -> np.ndarray:
@@ -260,7 +382,10 @@ def dcsbm_powerlaw_preset(
     clipping entries at probability 1 equals the target exactly (the
     clipped mean is monotone in the scale, so a bisection solves it);
     heavy tails would otherwise lose a large fraction of the target to
-    clipping.  Deterministic given the seed.
+    clipping.  Each bisection step costs O(n log n), not O(n^2): against
+    one block sorted by theta, a node's entries clip from one searchsorted
+    position on, and a prefix sum of theta gives the unclipped rest.
+    Deterministic given the seed.
     """
     if beta <= 2:
         raise ValueError("beta must exceed 2 for a finite-mean power law")
@@ -277,10 +402,9 @@ def dcsbm_powerlaw_preset(
         mask = z == q
         theta[mask] = theta[mask] / theta[mask].sum()
     pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
-    outer = (theta[:, None] * theta[None, :]) * pattern[z[:, None], z[None, :]]
 
     def clipped_mean(scale: float) -> float:
-        return float(np.minimum(scale * outer, 1.0).sum()) / n
+        return _clipped_mean_degree(z, theta, scale * pattern)
 
     hi = target_avg_degree * n / float(pattern.sum())  # exact when nothing clips
     while clipped_mean(hi) < target_avg_degree:

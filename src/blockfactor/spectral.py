@@ -3,9 +3,9 @@
 Graph matrices are CSR arrays (see ``blockfactor.graphs``).  Their top-k
 eigenpairs come from LOBPCG, a block eigensolver (Knyazev, "Toward the
 optimal preconditioned eigensolver", SISC 2001), which needs only
-matrix products with an n x k block; dense matrices, and CSR ones too
-small for LOBPCG, go to a full ``np.linalg.eigh``.  scipy.sparse.linalg
-is imported on the first LOBPCG solve.
+matrix products with an n x k block; dense matrices, and CSR ones small
+enough that a full ``np.linalg.eigh`` is faster, go to ``eigh``.
+scipy.sparse.linalg is imported on the first LOBPCG solve.
 """
 
 import warnings
@@ -37,6 +37,11 @@ _LOBPCG_MAXITER = 1000
 _LOBPCG_RUNS = 10
 _LOBPCG_SEED = 0
 
+# CSR matrices with fewer rows go to dense eigh.  Top-3 of a sampled L or
+# L_tau on 2 cores: LOBPCG 10-14 ms vs eigh 1 ms at 90 rows, about even
+# (25-32 vs 25-27 ms) at 400, and 24-35 vs 38-43 ms at 500.
+_DENSE_EIGH_BELOW = 450
+
 
 class EigenPairs(NamedTuple):
     """Top eigenvalues (descending) with orthonormal column eigenvectors."""
@@ -49,8 +54,9 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     """Top-k eigenpairs of a symmetric matrix by algebraic value.
 
     A dense ``m`` is solved by ``np.linalg.eigh``.  A CSR ``m`` is solved
-    by ``_lobpcg_topk`` once it has at least 5k rows, LOBPCG's own lower
-    limit, and by ``eigh`` on ``m.toarray()`` below that.  Signs follow
+    by ``_lobpcg_topk`` once it has at least ``_DENSE_EIGH_BELOW`` rows and
+    5k rows (LOBPCG's own lower limit), and by ``eigh`` on ``m.toarray()``
+    below that, where the dense solve is the faster one.  Signs follow
     the convention that the first nonzero coordinate of each eigenvector
     is positive, so repeated runs are comparable.
     """
@@ -61,7 +67,7 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} out of range for n={n}")
-    if csr is not None and n >= 5 * k:
+    if csr is not None and n >= max(5 * k, _DENSE_EIGH_BELOW):
         vals, vecs = _lobpcg_topk(csr, k)
     else:
         if csr is not None:

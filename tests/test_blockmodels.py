@@ -19,6 +19,12 @@ from blockfactor.blockmodels import (
     sbm_four_parameter,
     sbm_snr_preset,
 )
+from blockfactor.blockmodels import (  # the O(n log n) and unranking helpers
+    _clipped_entries,
+    _clipped_mean_degree,
+    _first_above,
+    _unrank_pairs,
+)
 from blockfactor.errors import (
     DcsbmEntryOutOfRangeError,
     InfeasibleDegreeError,
@@ -272,3 +278,154 @@ class TestDcsbmPreset:
     def test_expected_degrees_helper(self):
         p = sbm_snr_preset(30, 3, 2.0, 6.0)
         assert expected_degrees(p).sum() / 30 == pytest.approx(6.0, abs=1e-9)
+
+
+def edge_counts(p, reps):
+    """Per node pair, how many of ``reps`` seeded draws hold it."""
+    hits = np.zeros((p.n, p.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # clipping notes
+        for s in range(reps):
+            e = sample_graph(p, seed=s).edge_array
+            hits[e[:, 0], e[:, 1]] += 1
+    return hits
+
+
+def assert_exact_bernoulli(p, reps):
+    """Each pair's count over ``reps`` draws lies inside the two-sided 1e-7
+    tails of Binomial(reps, min(1, p_ij)), and the edge total within 5
+    sigma; pairs with p_ij >= 1 are in every draw and p_ij = 0 in none."""
+    from scipy.stats import binom
+
+    iu = np.triu_indices(p.n, k=1)
+    pop = population_adjacency(p)[iu]
+    count = edge_counts(p, reps)[iu]
+    want = np.minimum(pop, 1.0)
+    assert (count[pop >= 1] == reps).all()
+    assert (count[pop == 0] == 0).all()
+    tail = np.minimum(binom.cdf(count, reps, want), binom.sf(count - 1, reps, want))
+    assert tail.min() >= 1e-7
+    total_sigma = np.sqrt((reps * want * (1 - want)).sum())
+    assert abs(count.sum() - reps * want.sum()) <= 5 * total_sigma
+    return pop
+
+
+def spread_dcsbm(rng, n, k, exponents, rates):
+    """DCSBM whose theta spans about ``exponents`` binary orders of magnitude."""
+    z = np.arange(n) % k
+    theta = 2.0 ** rng.uniform(-exponents, 0, size=n)
+    for q in range(k):
+        theta[z == q] /= theta[z == q].sum()
+    return DcsbmParams(z=z, b_prime=np.asarray(rates, dtype=float), theta=theta)
+
+
+class TestExactSampler:
+    def test_clipped_dcsbm_pair_frequencies(self):
+        rng = np.random.default_rng(11)
+        rates = [[40.0, 5.0, 20.0], [5.0, 60.0, 0.0], [20.0, 0.0, 30.0]]
+        p = spread_dcsbm(rng, 30, 3, 6, rates)
+        pop = assert_exact_bernoulli(p, reps=3000)
+        assert (pop >= 1).sum() >= 10 and (pop == 0).sum() >= 10
+        assert ((pop > 0.05) & (pop < 0.95)).sum() >= 50
+
+    def test_theta_over_many_dyadic_buckets(self):
+        rng = np.random.default_rng(12)
+        p = spread_dcsbm(rng, 40, 2, 20, [[30.0, 8.0], [8.0, 30.0]])
+        for q in range(2):
+            assert np.unique(np.frexp(p.theta[p.z == q])[1]).size >= 10
+        assert_exact_bernoulli(p, reps=1000)
+
+    def test_sbm_pair_frequencies(self):
+        rng = np.random.default_rng(13)
+        assert_exact_bernoulli(random_sbm(rng, n=25, k=3), reps=1000)
+
+    def test_zero_rate_between_blocks(self):
+        p = SbmParams(z=np.arange(40) % 2, b=np.array([[0.5, 0.0], [0.0, 0.3]]))
+        for s in range(50):
+            i, j = sample_graph(p, seed=s).edge_array.T
+            assert (p.z[i] == p.z[j]).all()
+        assert_exact_bernoulli(p, reps=300)
+
+    def test_block_with_one_node(self):
+        p = SbmParams(z=np.array([1, 1, 0, 1, 1]), b=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g = sample_graph(p, seed=0)
+        assert g.edges == ((0, 2), (1, 2), (2, 3), (2, 4))
+        q = DcsbmParams(z=np.array([0, 1, 1]), b_prime=np.full((2, 2), 0.5),
+                        theta=np.array([1.0, 0.25, 0.75]))
+        assert_exact_bernoulli(q, reps=1000)
+
+    def test_unrank_pairs_at_triangular_numbers(self):
+        i, j = _unrank_pairs(np.arange(45))
+        assert list(zip(i.tolist(), j.tolist())) == [(a, b) for b in range(10) for a in range(b)]
+        # around j(j-1)/2 for j up to 2^31, where the float root rounds across
+        top = np.concatenate([2 ** np.arange(1, 32), np.random.default_rng(17).integers(
+            2**20, 2**31, size=10000)])
+        tri = top * (top - 1) // 2
+        idx = np.concatenate([tri - 1, tri, tri + 1])
+        idx = idx[idx >= 0]
+        i, j = _unrank_pairs(idx)
+        assert ((0 <= i) & (i < j)).all()
+        assert np.array_equal(j * (j - 1) // 2 + i, idx)
+
+    def test_no_nodes_is_not_a_model(self):
+        with pytest.raises(ValueError):
+            SbmParams(z=np.zeros(0, dtype=int), b=np.full((1, 1), 0.5))
+
+    def test_one_and_two_nodes(self):
+        one = sample_graph(SbmParams(z=np.array([0]), b=np.ones((1, 1))), seed=0)
+        assert one.n == 1 and one.num_edges == 0
+        with pytest.warns(UserWarning, match="clipped 100.0000%"):
+            sample_graph(DcsbmParams(z=np.array([0]), b_prime=np.full((1, 1), 2.0),
+                                     theta=np.array([1.0])), seed=0)
+        for b, edges in ((1.0, ((0, 1),)), (0.0, ())):
+            for z in ([0, 0], [0, 1]):
+                k = max(z) + 1
+                g = sample_graph(SbmParams(z=np.array(z), b=np.full((k, k), b)), seed=1)
+                assert g.n == 2 and g.edges == edges
+
+    def test_same_seed_same_graph_across_buckets(self):
+        rng = np.random.default_rng(14)
+        p = spread_dcsbm(rng, 200, 3, 12, np.full((3, 3), 20.0) + 40.0 * np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            a, b = sample_graph(p, seed=[3, 1]), sample_graph(p, seed=[3, 1])
+            assert a.edges == b.edges and a.num_edges > 0
+            assert sample_graph(p, seed=[3, 2]).edges != a.edges
+
+
+class TestClippingWithoutDenseMatrices:
+    def test_clipped_mean_matches_dense_reference(self):
+        for n, beta, seed in ((30, 2.1, 0), (61, 2.5, 1), (90, 3.1, 2), (150, 2.2, 3)):
+            p = dcsbm_powerlaw_preset(n, 3, 3.0, 10.0, beta=beta, seed=seed)
+            pattern = p.b_prime / p.b_prime[0, 1]
+            outer = (p.theta[:, None] * p.theta[None, :]) * pattern[p.z[:, None], p.z[None, :]]
+            for scale in (1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, p.b_prime[0, 1]):
+                reference = np.minimum(scale * outer, 1).sum() / n
+                fast = _clipped_mean_degree(p.z, p.theta, scale * pattern)
+                assert fast == pytest.approx(reference, rel=1e-12)
+
+    def test_warned_fraction_equals_dense_count(self):
+        rng = np.random.default_rng(15)
+        for t in range(20):
+            n = int(rng.integers(3, 80))
+            rates = rng.uniform(0, 50, size=(3, 3))
+            p = spread_dcsbm(rng, n, 3, int(rng.integers(1, 12)), rates + rates.T)
+            dense = int((population_adjacency(p) > 1).sum())
+            assert _clipped_entries(p.z, p.theta, p.b_prime) == dense
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sample_graph(p, seed=t)
+            notes = [str(w.message) for w in caught if "clipped" in str(w.message)]
+            want = f"clipped {dense / n**2:.4%} of population entries above 1 before sampling"
+            assert notes == ([want] if dense else [])
+
+    def test_boundary_products_counted_as_the_dense_product_rounds(self):
+        # weights at, one ulp below and one ulp above each node's threshold
+        rng = np.random.default_rng(16)
+        c = rng.uniform(0.5, 40.0, size=50)
+        ti = rng.uniform(1e-3, 1.0, size=50)
+        edge = 1.0 / (c * ti)
+        tj = np.sort(np.concatenate([edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)]))
+        cut = _first_above(c, ti, tj)
+        brute = [tj.size - int((c[i] * (ti[i] * tj) > 1.0).sum()) for i in range(50)]
+        assert cut.tolist() == brute

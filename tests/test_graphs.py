@@ -81,6 +81,31 @@ class TestGraphType:
         assert g.edges == ((0, 3), (1, 2))
         assert g.edge_array.tolist() == [[0, 3], [1, 2]]
 
+    def test_edge_array_matches_edges_and_is_read_only(self):
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, 30, 0.2)
+        built = [
+            g,
+            Graph(n=g.n, edges=g.edges),
+            induced_subgraph(g, rng.permutation(30)[:20])[0],
+            symmetrize_directed(g.edges[::-1] + ((4, 4),), n=30),
+            Graph.from_edges(5, []),
+        ]
+        for h in built:
+            e = h.edge_array
+            assert e.dtype == np.int64 and e.shape == (h.num_edges, 2)
+            assert np.array_equal(e, np.array(h.edges, dtype=np.int64).reshape(-1, 2))
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0:1] = 0
+
+    @pytest.mark.parametrize(
+        "edges", [((1, 0),), ((0, 1), (0, 1)), ((0, 2), (0, 1)), ((0, 3),), ((-1, 1),)]
+    )
+    def test_malformed_canonical_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            Graph(n=3, edges=edges)
+
     def test_adjacency_symmetric_binary_zero_diagonal(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 12, 0.3)

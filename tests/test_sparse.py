@@ -85,6 +85,11 @@ class TestGraphMatrices:
 
 
 class TestCsrEigensolver:
+    @pytest.fixture(autouse=True)
+    def lobpcg_at_every_size(self, monkeypatch):
+        # the sampled components lie below the dense-eigh cut-over
+        monkeypatch.setattr(spectral, "_DENSE_EIGH_BELOW", 0)
+
     def test_subspace_matches_dense_on_sampled_graphs(self):
         assert len(GRAPHS) >= 51
         worst = 0.0
@@ -161,6 +166,14 @@ class TestCsrEigensolver:
     def test_k_checked_for_csr(self):
         with pytest.raises(InvalidInputError):
             sym_eigs_topk(normalized_laplacian(GRAPHS[0][0]), 0)
+
+
+def test_csr_below_the_cut_over_is_eigh_bit_for_bit():
+    g, k = GRAPHS[0]
+    assert 5 * k <= g.n < spectral._DENSE_EIGH_BELOW
+    m = normalized_laplacian(g)
+    a, b = sym_eigs_topk(m, k), sym_eigs_topk(m.toarray(), k)
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
 
 
 class TestCsrSolvers:
