@@ -6,6 +6,14 @@ optimal preconditioned eigensolver", SISC 2001), which needs only
 matrix products with an n x k block; dense matrices, and CSR ones small
 enough that a full ``np.linalg.eigh`` is faster, go to ``eigh``.
 scipy.sparse.linalg is imported on the first LOBPCG solve.
+
+k-means runs its restarts side by side.  All k-means++ starts are drawn
+first; then one Lloyd loop advances every restart that is still moving,
+over whole (restarts, k, n) arrays instead of one restart at a time.
+Each distance, cluster sum and objective is added in the order the
+one-restart loop adds it, so the labels are bit for bit the same.
+Restarts go through the loop in blocks, so that its temporaries stay
+near 2 MiB, or one restart's n x k x d values when that is larger.
 """
 
 import warnings
@@ -42,6 +50,12 @@ _LOBPCG_SEED = 0
 # (25-32 vs 25-27 ms) at 400, and 24-35 vs 38-43 ms at 500.
 _DENSE_EIGH_BELOW = 450
 
+# A block of b k-means restarts has b * n * k * d at most this many values
+# (2 MiB of float64), or b = 1 where one restart alone has more, as at
+# n = 10^5, k = d = 3.  Its distance terms are (b, k, n) arrays, at most
+# min(d, 8) + 1 of them alive at once.
+_LLOYD_BLOCK_VALUES = 1 << 18
+
 
 class EigenPairs(NamedTuple):
     """Top eigenvalues (descending) with orthonormal column eigenvectors."""
@@ -63,7 +77,7 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     csr = as_csr(m)
     m = np.asarray(m, dtype=np.float64) if csr is None else csr
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+        raise InvalidInputError("matrix must be square")
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} out of range for n={n}")
@@ -115,50 +129,156 @@ def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _plusplus_centroids(points: np.ndarray, k: int, rng) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    dist_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), in the order numpy's pairwise
+    summation adds a contiguous float64 axis of hi - lo values: one by one
+    below 8 terms, as 8 interleaved partial sums up to 128, halved above.
+
+    So the sum of the columns of a non-negative (..., m) array equals its
+    ``.sum(axis=-1)`` bit for bit, for every m, while each addition here
+    runs over whole columns.  ``term`` returns a new array per call.
+    """
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        acc = _pairwise_sum(term, lo, lo + half)
+        acc += _pairwise_sum(term, lo + half, hi)
+        return acc
+    if n < 8:
+        acc = term(lo)
+        for j in range(lo + 1, hi):
+            acc += term(j)
+        return acc
+    part = [term(lo + j) for j in range(8)]
+    tail = hi - n % 8
+    for i in range(lo + 8, tail, 8):
+        for j in range(8):
+            part[j] += term(i + j)
+    # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
+    for j in (0, 2, 4, 6):
+        part[j] += part[j + 1]
+    part[0] += part[2]
+    part[4] += part[6]
+    part[0] += part[4]
+    for j in range(tail, hi):
+        part[0] += term(j)
+    return part[0]
+
+
+def _plusplus_centroids(cols: np.ndarray, k: int, rng) -> np.ndarray:
+    """One (k, d) k-means++ start (Arthur & Vassilvitskii, SODA 2007) for
+    the (d, n) point coordinates ``cols``."""
+    d, n = cols.shape
+    centroids = np.empty((k, d))
+    centroids[0] = cols[:, rng.integers(n)]
+    dist_sq = _nearest(cols, centroids[None, :1])[1][0]
     for c in range(1, k):
         total = dist_sq.sum()
+        if not np.isfinite(total):
+            raise InvalidInputError("squared distances between points overflow float64")
         if total > 0:
             idx = rng.choice(n, p=dist_sq / total)
         else:
             idx = rng.integers(n)
-        centroids[c] = points[idx]
-        dist_sq = np.minimum(dist_sq, ((points - centroids[c]) ** 2).sum(axis=1))
+        centroids[c] = cols[:, idx]
+        dist_sq = np.minimum(dist_sq, _nearest(cols, centroids[None, c : c + 1])[1][0])
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
-    """Lloyd iterations with farthest-point re-seeding of empty clusters.
+def _nearest(cols: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid (the first on ties) and its squared
+    distance, per restart: (r, n) labels and distances for the (d, n)
+    point coordinates ``cols`` and (r, k, d) centroids.
 
-    Returns (labels, wcss, per-iteration wcss history).
+    A distance sums its d squared coordinate differences in the order
+    ``((points[:, None] - c[None]) ** 2).sum(axis=2)`` does for one
+    restart's c, but over whole (r, k, n) arrays, not d-long rows.
     """
-    k = centroids.shape[0]
-    history = []
-    labels = None
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+    def sq_diff(j):
+        diff = cols[j] - centroids[:, :, j, None]
+        return np.square(diff, out=diff)
+
+    d2 = _pairwise_sum(sq_diff, 0, cols.shape[0])
+    labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
+    own = d2[:, 0].copy()
+    for c in range(1, centroids.shape[1]):
+        labels[d2[:, c] < own] = c
+        np.minimum(own, d2[:, c], out=own)
+    return labels, own
+
+
+def _cluster_sums(cols: np.ndarray, key: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(bins, d) sums of the points in each bin, bin ``key[j]`` for point
+    ``j % n`` of the (d, n) coordinates ``cols``: one restart's labels per
+    n consecutive keys.
+
+    The sums are the ones ``points[mask].mean(axis=0)`` divides: added in
+    point order (``np.bincount``) for two or more columns, where numpy's
+    axis-0 sum runs row by row, and by numpy's pairwise sum over each
+    bin's run of values for a single column.
+    """
+    d, n = cols.shape
+    shape = (key.size // n, n)
+    if d == 1:
+        vals = np.broadcast_to(cols[0], shape).ravel()[np.argsort(key, kind="stable")]
+        runs = np.split(vals, np.cumsum(counts)[:-1])
+        return np.array([run.sum() for run in runs])[:, None]
+    return np.stack(
+        [
+            np.bincount(key, weights=np.broadcast_to(col, shape).ravel(), minlength=counts.size)
+            for col in cols
+        ],
+        axis=1,
+    )
+
+
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
+    """Lloyd iterations for a block of restarts, run side by side.
+
+    ``centroids`` is (b, k, d), one start per restart, updated in place.
+    Each step assigns every point of every live restart to its nearest
+    centroid, the first one on ties.  A restart retires once its labels
+    repeat, or after ``max_iter`` centroid updates; the others move each
+    centroid to its cluster mean and re-seed each empty cluster with the
+    point farthest from its own centroid.  Every distance, mean and sum
+    is added in the order the one-restart loop adds it, so each restart
+    ends bit for bit where it would alone.
+
+    Returns (labels (b, n), within-cluster sum of squares (b,)).
+    """
+    b, k, d = centroids.shape
+    cols = np.ascontiguousarray(points.T)
+    labels = np.empty((b, points.shape[0]), dtype=np.intp)
+    wcss = np.empty(b)
+    live, prev = np.arange(b), None
+    steps = max(max_iter, 0) + 1
+    for step in range(steps):
+        new, own = _nearest(cols, centroids[live])
+        if step == steps - 1:
+            done = np.ones(live.size, dtype=bool)
+        elif prev is None:
+            done = np.zeros(live.size, dtype=bool)
+        else:
+            done = (new == prev).all(axis=1)
+        labels[live[done]] = new[done]
+        wcss[live[done]] = own[done].sum(axis=1)
+        live, new, own = live[~done], new[~done], own[~done]
+        if not live.size:
             break
-        labels = new_labels
-        own = d2[np.arange(points.shape[0]), labels]
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centroids[c] = points[mask].mean(axis=0)
-            else:
-                far = int(own.argmax())
-                centroids[c] = points[far]
-                own[far] = 0.0  # keep a second empty cluster from stealing it
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    wcss = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, wcss, history
+        key = (new + k * np.arange(live.size)[:, None]).ravel()
+        counts = np.bincount(key, minlength=live.size * k)
+        means = _cluster_sums(cols, key, counts) / np.maximum(counts, 1)[:, None]
+        filled = (counts > 0).reshape(-1, k)
+        moved = centroids[live]
+        moved[filled] = means.reshape(-1, k, d)[filled]
+        for r in np.flatnonzero(~filled.all(axis=1)):
+            for c in np.flatnonzero(~filled[r]):
+                far = int(own[r].argmax())
+                moved[r, c] = points[far]
+                own[r, far] = 0.0  # keep a second empty cluster from stealing it
+        centroids[live] = moved
+        prev = new
+    return labels, wcss
 
 
 def kmeans(
@@ -170,22 +290,43 @@ def kmeans(
 ) -> np.ndarray:
     """k-means labels, best of `restarts` k-means++ runs by within-cluster SS.
 
+    All k-means++ starts are drawn first, from one generator seeded by
+    ``seed``; Lloyd's steps draw nothing, so they are the starts a
+    one-restart-at-a-time loop would draw.  The restarts then run in
+    blocks through one batched Lloyd loop (``_lloyd``); a block holds as
+    many restarts as keep b * n * k * d within ``_LLOYD_BLOCK_VALUES``,
+    and at least one.  The first restart with the smallest within-cluster
+    sum of squares wins.  Every distance, cluster sum and objective is
+    added in the order that one-restart loop adds it (see
+    ``_pairwise_sum`` and ``_cluster_sums``), so the labels and each
+    restart's sum of squares are bit for bit that loop's.
+
     Deterministic given the seed.  Degenerate inputs (fewer distinct
     points than k) may leave clusters empty; the surviving labels are
-    still valid in [0, k).
+    still valid in [0, k).  Raises InvalidInputError for points that are
+    not an N x D matrix with D >= 1, not finite, or whose squared
+    distances overflow.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("points must be an N x D matrix")
-    if not 1 <= k <= points.shape[0]:
-        raise InvalidInputError(f"k={k} out of range for {points.shape[0]} points")
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise InvalidInputError("points must be an N x D matrix with D >= 1")
+    n, d = points.shape
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k={k} out of range for {n} points")
+    if not np.isfinite(points).all():
+        raise InvalidInputError("points must be finite")
     rng = np.random.default_rng(seed)
+    cols = np.ascontiguousarray(points.T)
+    starts = np.stack([_plusplus_centroids(cols, k, rng) for _ in range(max(1, restarts))])
+    block = max(1, _LLOYD_BLOCK_VALUES // (n * k * d))
     best_labels, best_wcss = None, np.inf
-    for _ in range(max(1, restarts)):
-        centroids = _plusplus_centroids(points, k, rng)
-        labels, wcss, _ = _lloyd(points, centroids, max_iter)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
+    for first in range(0, len(starts), block):
+        labels, wcss = _lloyd(points, starts[first : first + block], max_iter)
+        i = int(wcss.argmin())
+        if wcss[i] < best_wcss:
+            best_labels, best_wcss = labels[i], wcss[i]
+    if best_labels is None:
+        raise InvalidInputError("squared distances between points overflow float64")
     return best_labels.astype(np.int64)
 
 
@@ -199,7 +340,7 @@ def regularized_laplacian(g: Graph, tau: Optional[float] = None):
     if tau is None:
         tau = float(d.mean()) if g.n else 0.0
     if not tau >= 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+        raise InvalidInputError(f"tau must be nonnegative, got {tau}")
     reg = d + tau
     # reg is 0 only on isolated nodes at tau = 0, whose weight never enters
     return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
@@ -255,7 +396,7 @@ def spectral_clustering(
         if variant == "regularized":
             rows = unit_rows(rows)
     else:
-        raise ValueError(f"unknown spectral variant {variant!r}")
+        raise InvalidInputError(f"unknown spectral variant {variant!r}")
     return kmeans(rows, k, seed=seed, restarts=restarts)
 
 
@@ -267,7 +408,7 @@ def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> 
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
+        raise InvalidInputError(f"labels must lie in [0, {k})")
     h = np.full((labels.shape[0], k), float(offset))
     h[np.arange(labels.shape[0]), labels] += 1.0
     norms = np.linalg.norm(h, axis=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockfactor.blockmodels import SbmParams, population_laplacian
+from blockfactor.errors import InvalidInputError
 from blockfactor.graphs import Graph, normalized_laplacian
 from blockfactor.metrics import misclustered_count, misclustering_rate
 from blockfactor.spectral import (
@@ -124,8 +125,9 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         for _ in range(20):
             pts = rng.standard_normal((30, 2))
-            centroids = pts[rng.choice(30, size=3, replace=False)].copy()
-            _, _, history = _lloyd(pts, centroids, max_iter=50)
+            centroids = pts[rng.choice(30, size=3, replace=False)][None]
+            # the WCSS after t centroid updates, for t up to 50
+            history = [_lloyd(pts, centroids.copy(), max_iter=t)[1][0] for t in range(51)]
             diffs = np.diff(history)
             assert (diffs <= 1e-9).all()
 
@@ -164,6 +166,42 @@ class TestSpectralClustering:
         # d + tau <= 0 would zero some rows and push other entries above 1
         with pytest.raises(ValueError, match="tau"):
             regularized_laplacian(two_cliques(), tau=-3.0)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kmeans_non_finite_points(self, bad):
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        points[3, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            kmeans(points, 2, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_kmeans_overflowing_distances(self):
+        points = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]])
+        with pytest.raises(InvalidInputError, match="overflow"):
+            kmeans(points, 2, seed=0)
+
+    def test_kmeans_points_not_a_matrix(self):
+        for points in (np.zeros(5), np.zeros((5, 0))):
+            with pytest.raises(InvalidInputError, match="N x D"):
+                kmeans(points, 2, seed=0)
+
+    def test_non_square_matrix(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            sym_eigs_topk(np.zeros((3, 4)), 1)
+
+    def test_negative_tau(self):
+        with pytest.raises(InvalidInputError, match="tau"):
+            regularized_laplacian(two_cliques(), tau=-1.0)
+
+    def test_unknown_variant(self):
+        with pytest.raises(InvalidInputError, match="variant"):
+            spectral_clustering(two_cliques(), 2, "bogus", seed=0)
+
+    def test_labels_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="labels"):
+            nmf_init_from_partition(np.array([-1, 0]), 2)
 
 
 class TestNmfInit:
