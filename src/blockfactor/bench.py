@@ -120,12 +120,16 @@ class _SharedStages:
         return labels, eigs_s + kmeans_s
 
 
-def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str, init: str):
+def _check_methods_and_matrix(methods: Sequence[str], matrix: str):
     for method in methods:
         if method not in METHODS:
             raise InvalidInputError(f"unknown method {method!r}; choose from {METHODS}")
     if matrix not in ("laplacian", "adjacency"):
         raise InvalidInputError(f"matrix must be 'laplacian' or 'adjacency', got {matrix!r}")
+
+
+def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str, init: str):
+    _check_methods_and_matrix(methods, matrix)
     if init not in ("reg-spectral", "spectral"):
         raise InvalidInputError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= g.n):
@@ -215,7 +219,8 @@ class ExperimentSpec:
 
     Exactly one of avg_degree / n / beta is a list (named by ``sweep``);
     the others stay scalar.  The JSON file schema mirrors the field
-    names, plus a ``spec_version`` integer (currently 1).
+    names, plus a ``spec_version`` integer (currently 1).  An inconsistent
+    spec raises InvalidInputError (a ValueError).
     """
 
     experiment: str
@@ -234,28 +239,24 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.spec_version != 1:
-            raise ValueError(f"unsupported spec_version {self.spec_version}")
+            raise InvalidInputError(f"unsupported spec_version {self.spec_version}")
         if self.model not in ("sbm", "dcsbm"):
-            raise ValueError("model must be 'sbm' or 'dcsbm'")
+            raise InvalidInputError("model must be 'sbm' or 'dcsbm'")
         if self.sweep not in ("avg_degree", "n", "beta"):
-            raise ValueError("sweep must be one of avg_degree, n, beta")
+            raise InvalidInputError("sweep must be one of avg_degree, n, beta")
         if self.model == "sbm" and self.sweep == "beta":
-            raise ValueError("beta sweeps require the dcsbm model")
+            raise InvalidInputError("beta sweeps require the dcsbm model")
         if self.model == "dcsbm" and self.beta is None:
-            raise ValueError("dcsbm experiments need beta")
+            raise InvalidInputError("dcsbm experiments need beta")
         values = getattr(self, self.sweep)
         if not isinstance(values, (list, tuple)) or len(values) == 0:
-            raise ValueError(f"swept field {self.sweep!r} must be a nonempty list")
+            raise InvalidInputError(f"swept field {self.sweep!r} must be a nonempty list")
         for name in ("avg_degree", "n", "beta"):
             if name != self.sweep and isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"only the swept field may be a list, {name!r} is too")
+                raise InvalidInputError(f"only the swept field may be a list, {name!r} is too")
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
-        if self.matrix not in ("laplacian", "adjacency"):
-            raise ValueError("matrix must be 'laplacian' or 'adjacency'")
+            raise InvalidInputError("replicates must be >= 1")
+        _check_methods_and_matrix(self.methods, self.matrix)
 
     @property
     def sweep_values(self) -> list:
@@ -275,11 +276,12 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        doc = json.loads(Path(path).read_text())
+        """Read a spec file; malformed JSON, unknown or missing keys and
+        inconsistent values raise InvalidInputError."""
         try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ValueError(f"invalid experiment spec {path}: {exc}") from exc
+            return cls(**json.loads(Path(path).read_text()))
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise InvalidInputError(f"invalid experiment spec {path}: {exc}") from exc
 
     def to_json(self, path) -> None:
         doc = {k: v for k, v in self.__dict__.items() if v is not None}
@@ -376,9 +378,8 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
             chunks.append(_simulate_cell(spec, sv, rep))
             if progress is not None:
                 progress(i + 1, len(cells))
-    by_cell = {cell: chunk for cell, chunk in zip(cells, chunks)}
     method_order = {m: i for i, m in enumerate(spec.methods)}
-    rows = [row for cell in cells for row in by_cell[cell]]
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(
         key=lambda r: (
             spec.sweep_values.index(r.sweep_value),
@@ -457,20 +458,14 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
 
 def summarize(rows: Sequence[ResultRow]) -> str:
     """Aligned mean-NMI (and mean wall time) table, one line per sweep/method."""
-    keys = []
-    groups: dict[tuple, list[ResultRow]] = {}
+    groups: dict[tuple, list[ResultRow]] = {}  # in first-seen order
     for r in rows:
-        key = (r.sweep_value, r.method)
-        if key not in groups:
-            groups[key] = []
-            keys.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.sweep_value, r.method), []).append(r)
     lines = [
         f"{'sweep_value':>12s}  {'method':<14s} {'mean_nmi':>9s} {'mean_rate':>10s} "
         f"{'reps':>5s} {'mean_time_s':>12s}"
     ]
-    for key in keys:
-        grp = groups[key]
+    for key, grp in groups.items():
         mean_nmi = float(np.mean([g.nmi for g in grp]))
         mean_rate = float(np.mean([g.misclustering_rate for g in grp]))
         mean_t = float(np.mean([g.wall_time_s for g in grp]))

@@ -143,23 +143,19 @@ def _cmd_winners(args) -> int:
     return 0
 
 
+_COMMANDS = {"factorize": _cmd_factorize, "simulate": _cmd_simulate,
+             "realdata": _cmd_realdata, "winners": _cmd_winners}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # scoped, so a caller's floating-point error state is left as it was
         with np.errstate(all="ignore"):
-            if args.command == "factorize":
-                return _cmd_factorize(args)
-            if args.command == "simulate":
-                return _cmd_simulate(args)
-            if args.command == "realdata":
-                return _cmd_realdata(args)
-            if args.command == "winners":
-                return _cmd_winners(args)
+            return _COMMANDS[args.command](args)
     except (BlockfactorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -39,9 +39,7 @@ def _fixture_path(filename: str, fetch_hint: str) -> Path:
 
 def karate() -> tuple[Graph, np.ndarray]:
     """Zachary karate club (34 nodes, 78 edges) with faction-alignment labels."""
-    path = _fixture_path("karate.gml", "The file ships with the package.")
-    g, labels = load_gml(path)
-    return g, labels
+    return load_gml(_fixture_path("karate.gml", "The file ships with the package."))
 
 
 def dolphins() -> tuple[Graph, np.ndarray]:
@@ -81,19 +79,14 @@ def polblogs() -> tuple[Graph, np.ndarray]:
         "polblogs_labels.txt",
         "Run scripts/fetch_polblogs.py on a machine with internet access.",
     )
-    pairs = read_edge_pairs(edges_path)
     labels = load_labels(labels_path)
-    g = symmetrize_directed(pairs, n=labels.shape[0])
+    g = symmetrize_directed(read_edge_pairs(edges_path), n=labels.shape[0])
     g_lcc, lcc_map = largest_connected_component(g)
     return g_lcc, labels[list(lcc_map)]
 
 
 def load_dataset(name: str) -> tuple[Graph, np.ndarray]:
     """Dataset by name, preprocessed the way the benchmark tables expect."""
-    if name == "karate":
-        return karate()
-    if name == "dolphins":
-        return dolphins()
-    if name == "polblogs":
-        return polblogs()
-    raise ValueError(f"unknown dataset {name!r}; choose from {DATASETS}")
+    if name not in DATASETS:
+        raise ValueError(f"unknown dataset {name!r}; choose from {DATASETS}")
+    return {"karate": karate, "dolphins": dolphins, "polblogs": polblogs}[name]()

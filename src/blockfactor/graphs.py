@@ -7,8 +7,8 @@ such build, not when this module is imported.
 """
 
 import sys
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,10 +28,8 @@ __all__ = [
 
 
 def _pair_array(pairs) -> np.ndarray:
-    """Any iterable of (a, b) pairs, or an (m, 2) array, as an (m, 2) int64 array."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    e = np.array(pairs, dtype=np.int64)
+    """Any iterable of (a, b) pairs, or an (m, 2) array, as a new (m, 2) int64 array."""
+    e = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
     if e.size == 0:
         return e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
@@ -39,8 +37,14 @@ def _pair_array(pairs) -> np.ndarray:
     return e
 
 
+# canonical edges are sorted by the int64 key i * n + j, which bounds n
+MAX_NODES = isqrt(np.iinfo(np.int64).max)
+
+
 def _canonical_edges(e: np.ndarray, n: int) -> np.ndarray:
     """Loop-free in-range pairs as a sorted, deduplicated (m, 2) array with i < j."""
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_NODES} nodes")
     key = _sorted_unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
     return np.column_stack(np.divmod(key, n))
 
@@ -52,35 +56,27 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
 
 
-def _graph_from_canonical(n: int, e: np.ndarray, node_names=None) -> "Graph":
-    """A Graph on the canonical array ``e``, which becomes its ``edge_array``
-    as is, so the ``edges`` tuples built from it are never parsed back."""
-    edges = tuple(zip(e[:, 0].tolist(), e[:, 1].tolist()))
-    return Graph(n=n, edges=edges, node_names=node_names, _edge_array=e)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph on nodes 0..n-1.
 
-    Edges are canonical (i, j) pairs with i < j, sorted and deduplicated,
-    so the adjacency matrix is symmetric, binary and zero on the diagonal
-    by construction.  Instances are immutable and safe to share across
-    parallel workers.
+    ``edge_array`` is the one stored form of the edges: a read-only (m, 2)
+    int64 array of canonical pairs i < j, sorted and unique, so the
+    adjacency matrix is symmetric, binary and zero on the diagonal.  The
+    constructor checks any (m, 2) array-like and keeps a read-only copy;
+    ``from_edges`` takes arbitrary pairs.  Instances are immutable and safe
+    to share across parallel workers.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     node_names: Optional[tuple[str, ...]] = None
-    _edge_array: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, _edge_array):
-        if _edge_array is not None:  # from _graph_from_canonical: checked below
-            _edge_array.setflags(write=False)
-            self.__dict__["edge_array"] = _edge_array
+    def __post_init__(self):
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
-        i, j = self.edge_array.T
+        e = _pair_array(self.edge_array)  # a fresh copy: the caller's array is never frozen
+        i, j = e.T
         bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
         if bad.size:
             b = bad[0]
@@ -89,6 +85,22 @@ class Graph:
             raise ValueError("edges must be sorted and unique")
         if self.node_names is not None and len(self.node_names) != self.n:
             raise ValueError("node_names length must equal n")
+        e.setflags(write=False)
+        object.__setattr__(self, "edge_array", e)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n, self.node_names) == (other.n, other.node_names) and np.array_equal(
+            self.edge_array, other.edge_array
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array.tobytes(), self.node_names))
+
+    def __reduce__(self):
+        # through the constructor, so an unpickled edge_array is read-only too
+        return type(self), (self.n, self.edge_array, self.node_names)
 
     @classmethod
     def from_edges(
@@ -110,18 +122,17 @@ class Graph:
                 raise ValueError(f"self loop on node {i} not allowed")
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         names = tuple(node_names) if node_names is not None else None
-        return _graph_from_canonical(n, _canonical_edges(e, n), names)
+        return cls(n, _canonical_edges(e, n), names)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """``edges`` as a read-only (m, 2) int64 array."""
-        a = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
-        a.setflags(write=False)
-        return a
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as Python (i, j) pairs, built from ``edge_array`` on
+        each access (O(m) Python objects; nothing in this package reads it)."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def adjacency(self):
@@ -262,4 +273,4 @@ def symmetrize_directed(
     if bad.size:
         a, b = e[bad[0]].tolist()
         raise GraphParseError(f"edge ({a}, {b}) out of declared range [0, {n})")
-    return _graph_from_canonical(n, _canonical_edges(e[e[:, 0] != e[:, 1]], n))
+    return Graph(n, _canonical_edges(e[e[:, 0] != e[:, 1]], n))

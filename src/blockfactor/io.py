@@ -7,7 +7,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DanglingEdgeError, GraphParseError
-from .graphs import Graph, symmetrize_directed
+from .graphs import MAX_NODES, Graph, symmetrize_directed
 
 __all__ = [
     "load_graph",
@@ -25,13 +25,15 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def read_edge_pairs(path: PathLike) -> list[tuple[int, int]]:
-    """Raw ordered integer pairs from a whitespace edge list.
+def read_edge_pairs(path: PathLike) -> np.ndarray:
+    """Raw ordered integer pairs from a whitespace edge list, as an (m, 2)
+    int64 array in file order.
 
-    Lines are `i j` with 0-based ids; `#` starts a comment.  No
-    symmetrization or self-loop filtering happens here.
+    Lines are `i j` with ids in [0, ``graphs.MAX_NODES``); `#` starts a
+    comment.  A malformed line raises GraphParseError with its line
+    number.  No symmetrization or self-loop filtering happens here.
     """
-    pairs = []
+    ids = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -46,10 +48,10 @@ def read_edge_pairs(path: PathLike) -> list[tuple[int, int]]:
                 a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphParseError(f"non-integer token in {parts!r}", line=lineno)
-            if a < 0 or b < 0:
-                raise GraphParseError(f"negative node id in ({a}, {b})", line=lineno)
-            pairs.append((a, b))
-    return pairs
+            if not (0 <= a < MAX_NODES and 0 <= b < MAX_NODES):
+                raise GraphParseError(f"node id in ({a}, {b}) not in [0, {MAX_NODES})", line=lineno)
+            ids += (a, b)
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def load_edgelist(path: PathLike) -> Graph:
@@ -64,7 +66,7 @@ def load_edgelist(path: PathLike) -> Graph:
 def save_edgelist(g: Graph, path: PathLike) -> None:
     """One `i j` line per edge, i < j, sorted. Reloading recovers the edge set."""
     with open(path, "w") as fh:
-        for i, j in g.edges:
+        for i, j in g.edge_array.tolist():
             fh.write(f"{i} {j}\n")
 
 
@@ -170,7 +172,7 @@ def parse_gml(text: str) -> tuple[Graph, Optional[np.ndarray]]:
     g = symmetrize_directed(pairs, n=len(nodes))
     if any("label" in f for f in nodes):
         names = tuple(str(f.get("label", f["id"])) for f in nodes)
-        g = Graph(n=g.n, edges=g.edges, node_names=names)
+        g = Graph(g.n, g.edge_array, names)
     if any("value" in f for f in nodes):
         labels = np.array([int(f.get("value", -1)) for f in nodes], dtype=np.int64)
     else:
@@ -193,7 +195,7 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
         if g.node_names is not None:
             parts.append(f'label "{g.node_names[i]}"')
         lines.append(" ".join(parts) + " ]")
-    for i, j in g.edges:
+    for i, j in g.edge_array.tolist():
         lines.append(f"  edge [ source {i} target {j} ]")
     lines.append("]")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -81,6 +81,53 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(spec_version=2)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(spec_version=2),
+            dict(model="er"),
+            dict(sweep="k"),
+            dict(sweep="beta", beta=[2.1]),
+            dict(model="dcsbm"),
+            dict(avg_degree=10.0),
+            dict(avg_degree=[]),
+            dict(n=[10, 20]),
+            dict(replicates=0),
+            dict(methods=["osntf", "louvain"]),
+            dict(matrix="dense"),
+        ],
+    )
+    def test_bad_spec_is_typed(self, overrides):
+        with pytest.raises(InvalidInputError):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"experiment": "x",',
+            "[1, 2]",
+            '{"experiment": "x"}',
+            None,  # a valid spec plus an unknown key
+        ],
+    )
+    def test_bad_json_is_typed(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        tiny_spec().to_json(path)
+        if text is None:
+            text = path.read_text().replace("{", '{"colour": 1,', 1)
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="invalid experiment spec"):
+            ExperimentSpec.from_json(path)
+
+    @pytest.mark.parametrize("bad", [dict(methods=["louvain"]), dict(matrix="dense")])
+    def test_spec_and_runner_share_checks(self, bad):
+        with pytest.raises(InvalidInputError) as from_spec:
+            tiny_spec(**bad)
+        options = {"methods": ["osntf"], "matrix": "laplacian", **bad}
+        with pytest.raises(InvalidInputError) as from_runner:
+            run_methods(karate()[0], 2, options["methods"], seed=0, matrix=options["matrix"])
+        assert str(from_spec.value) == str(from_runner.value)
+
 
 class TestRunSimulation:
     def test_row_grid_and_order(self):

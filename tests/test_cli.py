@@ -83,6 +83,12 @@ class TestFactorize:
         assert main(["factorize", str(data_dir() / "karate.gml"), "--k", "100"]) == 2
         assert "k must be an integer in [1, 34]" in capsys.readouterr().err
 
+    def test_huge_node_id_errors_with_line(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("0 1\n1 99999999999999999999\n")
+        assert main(["factorize", str(path), "--k", "2"]) == 2
+        assert "error: line 2:" in capsys.readouterr().err
+
     def test_negative_tau_errors(self, k3_file, capsys):
         argv = ["factorize", str(k3_file), "--k", "2", "--method", "reg-spectral", "--tau", "-3"]
         assert main(argv) == 2

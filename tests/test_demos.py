@@ -1,0 +1,31 @@
+"""The scripts under demos/ run to completion against the source tree.
+
+Each runs in its own interpreter with ``PYTHONPATH=src`` and a temporary
+directory of its own (demo 06 writes its CSV there).  All six took under
+1 s each on a 2-core x86_64 host, so the whole set stays in the default
+suite.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+
+
+def test_all_demos_found():
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05", "06"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

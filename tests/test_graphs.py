@@ -8,6 +8,7 @@ import pytest
 
 from blockfactor.errors import EmptyGraphError, GraphParseError, IsolatedNodeError
 from blockfactor.graphs import (
+    MAX_NODES,
     Graph,
     connected_components,
     degrees,
@@ -17,6 +18,7 @@ from blockfactor.graphs import (
     normalized_laplacian,
     symmetrize_directed,
 )
+from blockfactor.graphs import _canonical_edges
 from blockfactor.spectral import regularized_laplacian
 
 DATA = Path(__file__).parent.parent / "src" / "blockfactor" / "data"
@@ -46,7 +48,7 @@ def reachability_components(g):
 def component_test_graphs():
     """Edgeless graphs, sparse random graphs with isolated nodes, and size ties."""
     rng = np.random.default_rng(7)
-    graphs = [Graph(n=1, edges=()), Graph(n=6, edges=())]
+    graphs = [Graph(n=1, edge_array=()), Graph(n=6, edge_array=())]
     for _ in range(90):
         graphs.append(random_graph(rng, int(rng.integers(1, 30)), float(rng.random()) * 0.15))
     for _ in range(10):
@@ -86,7 +88,7 @@ class TestGraphType:
         g = random_graph(rng, 30, 0.2)
         built = [
             g,
-            Graph(n=g.n, edges=g.edges),
+            Graph(n=g.n, edge_array=g.edges),
             induced_subgraph(g, rng.permutation(30)[:20])[0],
             symmetrize_directed(g.edges[::-1] + ((4, 4),), n=30),
             Graph.from_edges(5, []),
@@ -104,7 +106,7 @@ class TestGraphType:
     )
     def test_malformed_canonical_edges_rejected(self, edges):
         with pytest.raises(ValueError):
-            Graph(n=3, edges=edges)
+            Graph(n=3, edge_array=edges)
 
     def test_adjacency_symmetric_binary_zero_diagonal(self):
         rng = np.random.default_rng(0)
@@ -228,7 +230,7 @@ class TestComponents:
 
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraphError):
-            largest_connected_component(Graph(n=0, edges=()))
+            largest_connected_component(Graph(n=0, edge_array=()))
 
     def test_lcc_is_connected_on_random_graphs(self):
         rng = np.random.default_rng(4)
@@ -303,6 +305,16 @@ class TestSymmetrizeDirected:
     def test_out_of_declared_range(self):
         with pytest.raises(GraphParseError):
             symmetrize_directed([(0, 5)], n=3)
+
+    def test_node_count_above_key_range_rejected(self):
+        # i * n + j would overflow int64 and garble the canonical edges
+        with pytest.raises(ValueError, match="exceeds"):
+            symmetrize_directed([(0, 1), (3999999999, 4000000000)])
+        with pytest.raises(ValueError, match="exceeds"):
+            Graph.from_edges(MAX_NODES + 1, [(0, 1)])
+        top = np.array([[MAX_NODES - 1, MAX_NODES - 2], [0, 1]])
+        expected = [[0, 1], [MAX_NODES - 2, MAX_NODES - 1]]
+        assert _canonical_edges(top, MAX_NODES).tolist() == expected
 
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(5)

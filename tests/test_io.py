@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockfactor.errors import DanglingEdgeError, GraphParseError
-from blockfactor.graphs import Graph
+from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import (
     load_edgelist,
     load_gml,
@@ -14,6 +14,7 @@ from blockfactor.io import (
     load_labels,
     parse_gml,
     parse_gml_items,
+    read_edge_pairs,
     save_gml,
     save_labels,
 )
@@ -45,6 +46,29 @@ class TestEdgelist:
         p.write_text("0 x\n")
         with pytest.raises(GraphParseError):
             load_edgelist(p)
+
+    def test_pairs_array_in_file_order(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("2 1\n# comment\n1 2\n3 3\n")
+        pairs = read_edge_pairs(p)
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[2, 1], [1, 2], [3, 3]]
+        p.write_text("# nothing\n")
+        assert read_edge_pairs(p).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "line", ["1 99999999999999999999", f"{MAX_NODES} 0", "3999999999 4000000000", "-1 0"]
+    )
+    def test_id_out_of_range_reports_line(self, tmp_path, line):
+        p = tmp_path / "big.txt"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(GraphParseError) as exc:
+            load_edgelist(p)
+        assert exc.value.line == 2
+
+    def test_largest_id_is_read(self, tmp_path):
+        p = tmp_path / "edge.txt"
+        p.write_text(f"{MAX_NODES - 1} {MAX_NODES - 2}\n")
+        assert read_edge_pairs(p).tolist() == [[MAX_NODES - 1, MAX_NODES - 2]]
 
     def test_load_graph_dispatches_on_suffix(self, tmp_path):
         p = tmp_path / "k3.edges"
