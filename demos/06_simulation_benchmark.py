@@ -34,10 +34,11 @@ spec = ExperimentSpec(
 rows = run_simulation(spec)
 print(summarize(rows))
 
-out = Path(tempfile.mkdtemp()) / "demo.csv"
-write_csv(rows, out)
-print(f"\nwrote {out} ({out.stat().st_size} bytes)")
-print("spot check:", verify_csv_rows(spec, out, fraction=0.1), "rows re-verified")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "demo.csv"
+    write_csv(rows, out)
+    print(f"\nwrote {out} ({out.stat().st_size} bytes)")
+    print("spot check:", verify_csv_rows(spec, out, fraction=0.1), "rows re-verified")
 
-print("\nbest-method counts per (sweep value, replicate) cell:")
-print(format_winner_table(winner_counts([out])))
+    print("\nbest-method counts per (sweep value, replicate) cell:")
+    print(format_winner_table(winner_counts([out])))

@@ -9,6 +9,7 @@ that seed, so sweeps parallelize without sharing generator state.
 import csv
 import io as _io
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -213,6 +214,19 @@ def run_method(
     return run_methods(g, k, [method], seed, matrix, cfg, init, tau, restarts)[0]
 
 
+# The type of each numeric ExperimentSpec field, or of each item of it
+# when it is the swept list; bools are neither.
+_SPEC_FIELD_TYPES = {
+    "k": numbers.Integral,
+    "replicates": numbers.Integral,
+    "base_seed": numbers.Integral,
+    "n": numbers.Integral,
+    "snr": numbers.Real,
+    "avg_degree": numbers.Real,
+    "beta": numbers.Real,
+}
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative simulation sweep.
@@ -220,7 +234,8 @@ class ExperimentSpec:
     Exactly one of avg_degree / n / beta is a list (named by ``sweep``);
     the others stay scalar.  The JSON file schema mirrors the field
     names, plus a ``spec_version`` integer (currently 1).  An inconsistent
-    spec raises InvalidInputError (a ValueError).
+    spec, or a field of the wrong type (see ``_SPEC_FIELD_TYPES``), raises
+    InvalidInputError (a ValueError).
     """
 
     experiment: str
@@ -254,6 +269,14 @@ class ExperimentSpec:
         for name in ("avg_degree", "n", "beta"):
             if name != self.sweep and isinstance(getattr(self, name), (list, tuple)):
                 raise InvalidInputError(f"only the swept field may be a list, {name!r} is too")
+        for name, kind in _SPEC_FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and name == "beta":
+                continue  # sbm specs leave it out
+            for v in value if name == self.sweep else [value]:
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    noun = "an integer" if kind is numbers.Integral else "a number"
+                    raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
         _check_methods_and_matrix(self.methods, self.matrix)

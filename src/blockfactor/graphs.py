@@ -250,11 +250,13 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> tuple[Graph, dict[int, i
     new = np.full(g.n, -1)
     new[nodes] = np.arange(nodes.size)
     e = new[g.edge_array]
+    e = e[(e >= 0).all(axis=1)]
     names = None
     if g.node_names is not None:
         names = tuple(g.node_names[old] for old in nodes)
-    sub = Graph.from_edges(nodes.size, e[(e >= 0).all(axis=1)], names)
-    return sub, dict(zip(nodes.tolist(), range(nodes.size)))
+    # an increasing map keeps i < j and the sorted order: e is canonical
+    build = Graph if (nodes[1:] > nodes[:-1]).all() else Graph.from_edges
+    return build(int(nodes.size), e, names), dict(zip(nodes.tolist(), range(nodes.size)))
 
 
 def symmetrize_directed(

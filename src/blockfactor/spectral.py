@@ -1,11 +1,14 @@
 """Top-k symmetric eigenpairs, k-means and spectral clustering baselines.
 
 Graph matrices are CSR arrays (see ``blockfactor.graphs``).  Their top-k
-eigenpairs come from LOBPCG, a block eigensolver (Knyazev, "Toward the
-optimal preconditioned eigensolver", SISC 2001), which needs only
-matrix products with an n x k block; dense matrices, and CSR ones small
-enough that a full ``np.linalg.eigh`` is faster, go to ``eigh``.
-scipy.sparse.linalg is imported on the first LOBPCG solve.
+eigenpairs come from ARPACK's implicitly restarted Lanczos method
+(Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998) when the
+matrix is non-negative and its pattern connected, and from LOBPCG, a
+block eigensolver (Knyazev, "Toward the optimal preconditioned
+eigensolver", SISC 2001), otherwise or when ARPACK fails.  Dense
+matrices, and CSR ones small enough that a full ``np.linalg.eigh`` is
+faster, go to ``eigh``.  scipy.sparse.linalg and scipy.sparse.csgraph
+are imported on the first sparse solve.
 
 k-means runs its restarts side by side.  All k-means++ starts are drawn
 first; then one Lloyd loop advances every restart that is still moving,
@@ -16,6 +19,8 @@ Restarts go through the loop in blocks, so that its temporaries stay
 near 2 MiB, or one restart's n x k x d values when that is larger.
 """
 
+import contextlib
+import functools
 import warnings
 from typing import NamedTuple, Optional
 
@@ -35,20 +40,39 @@ __all__ = [
     "nmf_init_from_partition",
 ]
 
-# A LOBPCG eigenpair is accepted once its residual ||M v - lambda v|| is
-# below _LOBPCG_TOL times a bound on ||M||_2, and each run aims 10x lower.
-# The largest principal-angle sine against the exact top-k subspace is
-# then about the residual over the eigengap.  At a highly repeated
-# eigenvalue the residuals can stall near 2e-10 run after run.
+# An eigenpair from ARPACK or LOBPCG is accepted once its residual
+# ||M v - lambda v|| is below _LOBPCG_TOL times a bound on ||M||_2; each
+# LOBPCG run aims 10x lower.  The largest principal-angle sine against the
+# exact top-k subspace is then about the residual over the eigengap.  At a
+# highly repeated eigenvalue LOBPCG's residuals can stall near 2e-10 run
+# after run.
 _LOBPCG_TOL = 1e-9
 _LOBPCG_MAXITER = 1000
 _LOBPCG_RUNS = 10
 _LOBPCG_SEED = 0
 
-# CSR matrices with fewer rows go to dense eigh.  Top-3 of a sampled L or
-# L_tau on 2 cores: LOBPCG 10-14 ms vs eigh 1 ms at 90 rows, about even
-# (25-32 vs 25-27 ms) at 400, and 24-35 vs 38-43 ms at 500.
-_DENSE_EIGH_BELOW = 450
+# ARPACK's restart budget before LOBPCG takes over.  scipy's default, 10n,
+# let a 2 * 10^4-node cycle (eigengap 5e-8) run for over ten minutes; 1000
+# took 10 s.  Sampled SBM and DCSBM components of 200-3000 nodes at mean
+# degree 3-30 needed at most 39, and at 10^4 and 10^5 nodes at most 5.
+_ARPACK_MAXITER = 1000
+
+# CSR matrices with fewer rows go to dense eigh.  Top-3 of sampled L and
+# L_tau (SBM, mean degree 10-30), eigh on toarray() vs the ARPACK path
+# with its guard, median of per-matrix minima on 2 cores: 0.9 vs 1.8-3.9 ms
+# at 90 rows, 1.5-1.7 vs 1.7-3.0 ms at 120, 2.6-2.8 vs 2.0-3.6 ms at 150,
+# 5.3-6.3 vs 3.5-4.8 ms at 200 and 32-33 vs 3.5-7.2 ms at 450.
+_DENSE_EIGH_BELOW = 150
+
+# Below this many rows ARPACK runs on one thread of scipy's bundled
+# OpenBLAS, a thread pool apart from numpy's.  On 2 cores, top-3 of a
+# sampled L took the same time on one thread or two at 800-20000 rows,
+# but with two, that pool's idle threads spun beside numpy's and slowed
+# the work around each solve: a fig1-sweep pass took 3.1-3.7 s (k-means
+# 1.0-1.2 s, both solvers 0.65-0.77 s), and 2.2-2.5 s (0.81-0.92 s,
+# 0.41-0.45 s) with ARPACK on one thread.  Two threads were 7-15% faster
+# from 3 * 10^4 rows.
+_ARPACK_ONE_THREAD_BELOW = 20_000
 
 # A block of b k-means restarts has b * n * k * d at most this many values
 # (2 MiB of float64), or b = 1 where one restart alone has more, as at
@@ -67,12 +91,23 @@ class EigenPairs(NamedTuple):
 def sym_eigs_topk(m, k: int) -> EigenPairs:
     """Top-k eigenpairs of a symmetric matrix by algebraic value.
 
-    A dense ``m`` is solved by ``np.linalg.eigh``.  A CSR ``m`` is solved
-    by ``_lobpcg_topk`` once it has at least ``_DENSE_EIGH_BELOW`` rows and
-    5k rows (LOBPCG's own lower limit), and by ``eigh`` on ``m.toarray()``
-    below that, where the dense solve is the faster one.  Signs follow
-    the convention that the first nonzero coordinate of each eigenvector
-    is positive, so repeated runs are comparable.
+    A dense ``m``, or a CSR one with fewer than ``_DENSE_EIGH_BELOW`` or
+    5k rows, is solved by ``np.linalg.eigh``, the faster solve there.  A
+    larger CSR ``m`` goes to ARPACK (``_arpack_topk``) when its stored
+    entries are all positive and its pattern is connected, and to LOBPCG
+    (``_lobpcg_topk``) otherwise or when ARPACK's answer is refused.
+
+    Lanczos grows one Krylov vector, so only rounding brings in a second
+    copy of a repeated eigenvalue: ARPACK alone missed a copy of the
+    eigenvalue 1 of a Laplacian with k components on 85 of the 200
+    disconnected test graphs, and a copy never returned cannot be
+    detected.  A connected non-negative matrix is irreducible, so by
+    Perron-Frobenius its top eigenvalue is simple; for repeats below it
+    see ``_arpack_topk``.  LOBPCG, a block method started from k random
+    vectors, returns every copy.
+
+    Signs follow the convention that the first nonzero coordinate of each
+    eigenvector is positive, so repeated runs are comparable.
     """
     csr = as_csr(m)
     m = np.asarray(m, dtype=np.float64) if csr is None else csr
@@ -82,7 +117,8 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} out of range for n={n}")
     if csr is not None and n >= max(5 * k, _DENSE_EIGH_BELOW):
-        vals, vecs = _lobpcg_topk(csr, k)
+        pairs = _arpack_topk(csr, k) if _irreducible_nonnegative(csr) else None
+        vals, vecs = pairs if pairs is not None else _lobpcg_topk(csr, k)
     else:
         if csr is not None:
             m = csr.toarray()
@@ -100,6 +136,99 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     return EigenPairs(values=vals, vectors=vecs)
 
 
+def _irreducible_nonnegative(m) -> bool:
+    """Whether every stored entry of CSR ``m`` is positive and its pattern
+    is strongly connected, which for a non-negative matrix is
+    irreducibility.  On a symmetric pattern strong and undirected
+    components agree; the strong ones are found without a transpose,
+    0.06 s against 0.22 s at 10^5 rows and 2 * 10^6 entries."""
+    from scipy.sparse.csgraph import connected_components
+
+    if not (m.data > 0).all():
+        return False
+    return connected_components(m, connection="strong", return_labels=False) == 1
+
+
+def _residual_tol(m) -> float:
+    # the largest absolute row sum bounds ||m||_2
+    return _LOBPCG_TOL * max(1.0, float(abs(m).sum(axis=1).max()))
+
+
+def _max_residual(m, vals: np.ndarray, vecs: np.ndarray) -> float:
+    return float(np.linalg.norm(m @ vecs - vecs * vals, axis=0).max())
+
+
+def _arpack_topk(m, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Top-k eigenpairs of a CSR matrix by ARPACK, descending, or None if
+    it does not converge, misses the residual bound, or returns two
+    eigenvalues equal within that bound.
+
+    A returned repeat may lack a further copy: of the 4-fold second
+    eigenvalue of L for a 20 x 20 torus ARPACK returned 3 copies, of the
+    7-fold one of a star of 8 cliques of 20 it returned 6.  These were the
+    only misses in 194 top-k solves (k = 2..9) on cycles, grids, tori,
+    circulants, hypercubes and stars of cliques, run to machine precision
+    as here; at scipy's ``tol=1e-10`` there were 111, and 101 of them
+    returned no repeat at all.
+
+    The start vector is random with a fixed seed, not all ones: on a
+    regular graph that is L's top eigenvector, and its Krylov space holds
+    nothing else.
+    """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    v0 = np.random.default_rng(_LOBPCG_SEED).standard_normal(m.shape[0])
+    one_thread = m.shape[0] < _ARPACK_ONE_THREAD_BELOW
+    try:
+        with _scipy_blas_on_one_thread() if one_thread else contextlib.nullcontext():
+            vals, vecs = eigsh(m, k, which="LA", v0=v0, maxiter=_ARPACK_MAXITER)
+    except (ArpackNoConvergence, ArpackError):
+        return None
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    tol = _residual_tol(m)
+    if not _max_residual(m, vals, vecs) <= tol or (np.diff(vals) >= -tol).any():
+        return None
+    return vals, vecs
+
+
+@functools.cache
+def _scipy_openblas():
+    """The OpenBLAS library bundled with scipy's wheels, through ctypes,
+    or None where there is none (a scipy built on another BLAS)."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    root = os.path.dirname(scipy.__file__)
+    for path in glob.glob(root + ".libs/libscipy_openblas*") + glob.glob(
+        root + "/.dylibs/libscipy_openblas*"
+    ):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _scipy_blas_on_one_thread():
+    """Run the block with scipy's bundled OpenBLAS on one thread, then
+    restore its thread count; a no-op without that library."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
+
+
 def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a CSR matrix by LOBPCG from a fixed random block.
 
@@ -111,8 +240,7 @@ def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     from scipy.sparse.linalg import lobpcg
 
-    # the largest absolute row sum bounds ||m||_2
-    tol = _LOBPCG_TOL * max(1.0, float(abs(m).sum(axis=1).max()))
+    tol = _residual_tol(m)
     vecs = np.random.default_rng(_LOBPCG_SEED).standard_normal((m.shape[0], k))
     for _ in range(_LOBPCG_RUNS):
         with warnings.catch_warnings():
@@ -121,7 +249,7 @@ def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
             vals, vecs = lobpcg(m, vecs, tol=tol / 10, maxiter=_LOBPCG_MAXITER, largest=True)
         order = np.argsort(-vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
-        resid = float(np.linalg.norm(m @ vecs - vecs * vals, axis=0).max())
+        resid = _max_residual(m, vals, vecs)
         if resid <= tol:
             return vals, vecs
     raise NoConvergenceError(
@@ -165,6 +293,15 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     return part[0]
 
 
+def _choice(rng, p: np.ndarray) -> int:
+    """``rng.choice(p.size, p=p)`` by the same inverse-CDF draw, so the
+    same index and generator state after, without choice's O(n) checks
+    of ``p``, which took a quarter of k-means at fig1 sizes."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _plusplus_centroids(cols: np.ndarray, k: int, rng) -> np.ndarray:
     """One (k, d) k-means++ start (Arthur & Vassilvitskii, SODA 2007) for
     the (d, n) point coordinates ``cols``."""
@@ -177,7 +314,7 @@ def _plusplus_centroids(cols: np.ndarray, k: int, rng) -> np.ndarray:
         if not np.isfinite(total):
             raise InvalidInputError("squared distances between points overflow float64")
         if total > 0:
-            idx = rng.choice(n, p=dist_sq / total)
+            idx = _choice(rng, dist_sq / total)
         else:
             idx = rng.integers(n)
         centroids[c] = cols[:, idx]

@@ -1,5 +1,6 @@
 """Benchmark harness: specs, simulation sweeps, CSV, winners, realdata."""
 
+import json
 import time
 
 import numpy as np
@@ -118,6 +119,38 @@ class TestExperimentSpec:
         path.write_text(text)
         with pytest.raises(InvalidInputError, match="invalid experiment spec"):
             ExperimentSpec.from_json(path)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("k", dict(k="2")),
+            ("k", dict(k=2.0)),
+            ("k", dict(k=True)),
+            ("replicates", dict(replicates="2")),
+            ("base_seed", dict(base_seed=1.5)),
+            ("n", dict(n="48")),
+            ("n", dict(sweep="n", n=[48, 96.0], avg_degree=8.0)),
+            ("snr", dict(snr="4")),
+            ("avg_degree", dict(avg_degree=[8.0, "12"])),
+            ("avg_degree", dict(avg_degree=[8.0, None])),
+            ("beta", dict(model="dcsbm", beta="2.5")),
+            ("beta", dict(model="dcsbm", sweep="beta", beta=[2.1, False], avg_degree=8.0)),
+        ],
+    )
+    @pytest.mark.parametrize("through_json", [False, True], ids=["direct", "json"])
+    def test_wrong_field_type_is_typed(self, tmp_path, field, overrides, through_json):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be (an integer|a number)"):
+            if through_json:
+                path = tmp_path / "spec.json"
+                path.write_text(json.dumps({**tiny_spec().__dict__, "beta": None, **overrides}))
+                ExperimentSpec.from_json(path)
+            else:
+                tiny_spec(**overrides)
+
+    def test_numeric_field_types_accepted(self):
+        spec = tiny_spec(k=np.int64(2), snr=4, avg_degree=[8, 12.5], base_seed=np.int32(3))
+        assert spec.k == 2 and spec.sweep_values == [8, 12.5]
+        assert tiny_spec(model="dcsbm", sweep="n", n=[48, 64], avg_degree=8, beta=2).beta == 2
 
     @pytest.mark.parametrize("bad", [dict(methods=["louvain"]), dict(matrix="dense")])
     def test_spec_and_runner_share_checks(self, bad):

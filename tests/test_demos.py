@@ -1,7 +1,8 @@
 """The scripts under demos/ run to completion against the source tree.
 
 Each runs in its own interpreter with ``PYTHONPATH=src`` and a temporary
-directory of its own (demo 06 writes its CSV there).  All six took under
+directory of its own as working and temporary directory, which it must
+leave empty (demo 06 writes its CSV there).  All six took under
 1 s each on a 2-core x86_64 host, so the whole set stays in the default
 suite.
 """
@@ -29,3 +30,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.iterdir())

@@ -259,6 +259,33 @@ class TestComponents:
         assert sub.edges == ((0, 3), (1, 2), (1, 3))
         assert index_map == {4: 0, 2: 1, 1: 2, 3: 3}
 
+    def test_induced_subgraph_equals_from_edges(self):
+        # increasing node lists skip from_edges; the result must not change
+        from blockfactor.blockmodels import sample_graph, sbm_snr_preset
+
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            g = sample_graph(sbm_snr_preset(300, 3, 3.0, 8.0), seed=seed)
+            g = Graph(g.n, g.edge_array, tuple(f"v{i}" for i in range(g.n)))
+            subsets = [
+                np.arange(g.n),
+                np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)),
+                rng.choice(g.n, size=int(rng.integers(2, g.n)), replace=False),
+                rng.permutation(g.n),
+                np.arange(g.n)[::-1],
+                np.array([], dtype=np.int64),
+            ]
+            for nodes in subsets:
+                new = np.full(g.n, -1)
+                new[nodes] = np.arange(nodes.size)
+                e = new[g.edge_array]
+                want = Graph.from_edges(nodes.size, e[(e >= 0).all(axis=1)],
+                                        [g.node_names[i] for i in nodes])
+                sub, index_map = induced_subgraph(g, nodes)
+                assert sub == want and sub.n == nodes.size
+                assert not sub.edge_array.flags.writeable
+                assert index_map == {int(old): i for i, old in enumerate(nodes)}
+
     @pytest.mark.parametrize("nodes", [[5, 1], [-1, 1], [3]])
     def test_induced_subgraph_rejects_unknown_nodes(self, nodes):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -215,3 +215,29 @@ class TestPairwiseSum:
             x = rng.standard_normal((50, m)) ** 2 * 10.0 ** rng.uniform(-8, 8, size=(50, m))
             got = spectral._pairwise_sum(lambda j: x[:, j].copy(), 0, m)
             assert np.array_equal(got, x.sum(axis=-1))
+
+
+class TestPlusPlusDraw:
+    def test_choice_equals_generator_choice(self):
+        # the index and the generator state after, for p with zeros, ties,
+        # one nonzero entry and weights over many orders of magnitude
+        rng = np.random.default_rng(13)
+        for trial in range(1200):
+            n = int(rng.integers(1, 400))
+            w = rng.random(n) * 10.0 ** rng.uniform(-12, 12, size=n)
+            kind = trial % 5
+            if kind == 1:
+                w[rng.random(n) < 0.6] = 0.0
+            elif kind == 2:
+                w = np.round(w / w.max() * 3)  # few distinct values, many ties
+            elif kind == 3:
+                w = np.zeros(n)
+            elif kind == 4:
+                w = np.full(n, rng.random())
+            if not w.sum() > 0:
+                w[int(rng.integers(n))] = 1.0
+            p = w / w.sum()
+            seed = int(rng.integers(1 << 62))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert spectral._choice(ours, p) == theirs.choice(n, p=p)
+            assert ours.bit_generator.state == theirs.bit_generator.state

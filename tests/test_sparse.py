@@ -1,4 +1,4 @@
-"""CSR graph matrices, the LOBPCG eigensolver and CSR solver input, each
+"""CSR graph matrices, the ARPACK and LOBPCG eigensolvers and CSR solver input, each
 checked against the dense reference: subspaces and labels, not raw vectors,
 because eigenvectors of repeated eigenvalues are not unique."""
 
@@ -27,6 +27,7 @@ from blockfactor.factorization import (
 )
 from blockfactor.graphs import Graph, degrees, largest_connected_component, normalized_laplacian
 from blockfactor.spectral import (
+    _lobpcg_topk,
     nmf_init_from_partition,
     regularized_laplacian,
     spectral_clustering,
@@ -84,59 +85,85 @@ class TestGraphMatrices:
             assert not m.data.flags.writeable
 
 
+def disconnected_graphs(count=200, seed=5):
+    """Graphs of 2-6 connected components, each with its owner vector; a
+    quarter repeat one component, so lower eigenvalues repeat too."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        c = int(rng.integers(2, 7))
+        sizes = rng.integers(5, 30, size=c)
+        parts = [random_connected_component(rng, int(s)) for s in sizes]
+        if trial % 4 == 0:
+            sizes[:], parts = sizes[0], [parts[0]] * c
+        edges, offset, owner = [], 0, []
+        for comp, (size, part) in enumerate(zip(sizes, parts)):
+            edges += [(u + offset, v + offset) for u, v in part]
+            owner += [comp] * int(size)
+            offset += int(size)
+        yield Graph.from_edges(offset, edges), c, owner
+
+
+def assert_full_multiplicity_of_unit_eigenvalue(solve, count=200):
+    # A Laplacian's eigenvalue 1 has one eigenvector per component,
+    # D^{1/2} times the component's indicator.
+    for g, c, owner in disconnected_graphs(count):
+        vals, vecs = solve(normalized_laplacian(g), c)
+        np.testing.assert_allclose(vals, np.ones(c), rtol=0, atol=1e-10)
+        basis = np.zeros((g.n, c))
+        basis[np.arange(g.n), owner] = np.sqrt(degrees(g))
+        basis /= np.linalg.norm(basis, axis=0)
+        assert max_sine(basis, vecs) <= 1e-7
+
+
+def assert_matches_dense(m, k, pairs):
+    """Eigenvalues within 1e-9 times the row-sum bound of dense eigh's,
+    orthonormal vectors, largest principal-angle sine at most 1e-7."""
+    dense = sym_eigs_topk(m.toarray(), k)
+    scale = max(1.0, float(abs(m).sum(axis=1).max()))
+    np.testing.assert_allclose(pairs[0], dense.values, rtol=0, atol=1e-9 * scale)
+    assert np.abs(pairs[1].T @ pairs[1] - np.eye(k)).max() < 1e-10
+    assert max_sine(dense.vectors, pairs[1]) <= 1e-7
+
+
+def with_entry(m, value):
+    """A copy of CSR ``m`` whose entries (0, j) and (j, 0), j the first
+    stored column of row 0, are set to ``value`` and kept stored, so the
+    pattern is unchanged."""
+    m = m.copy()
+    assert m.indptr[1] > 0
+    j = int(m.indices[0])
+    m.data[0] = value
+    m.data[m.indptr[j] + np.flatnonzero(m.indices[m.indptr[j]:m.indptr[j + 1]] == 0)] = value
+    return m
+
+
 class TestCsrEigensolver:
-    @pytest.fixture(autouse=True)
-    def lobpcg_at_every_size(self, monkeypatch):
-        # the sampled components lie below the dense-eigh cut-over
-        monkeypatch.setattr(spectral, "_DENSE_EIGH_BELOW", 0)
+    """LOBPCG, called directly: sym_eigs_topk reaches it only off ARPACK's
+    guard, or when ARPACK fails."""
 
     def test_subspace_matches_dense_on_sampled_graphs(self):
         assert len(GRAPHS) >= 51
         worst = 0.0
         for g, k in GRAPHS:
-            assert g.n >= 5 * k  # every one goes to LOBPCG, not the dense fallback
+            assert g.n >= 5 * k  # LOBPCG's own lower limit
             for name, m in graph_matrices(g).items():
                 dense = sym_eigs_topk(m.toarray(), k)
-                csr = sym_eigs_topk(m, k)
+                vals, vecs = _lobpcg_topk(m, k)
                 scale = max(1.0, float(abs(m).sum(axis=1).max()))
-                np.testing.assert_allclose(csr.values, dense.values, rtol=0, atol=1e-9 * scale)
-                assert np.abs(csr.vectors.T @ csr.vectors - np.eye(k)).max() < 1e-10
-                worst = max(worst, max_sine(dense.vectors, csr.vectors))
+                np.testing.assert_allclose(vals, dense.values, rtol=0, atol=1e-9 * scale)
+                assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-10
+                worst = max(worst, max_sine(dense.vectors, vecs))
         assert worst <= 1e-7
 
     def test_full_multiplicity_of_unit_eigenvalue_on_disconnected_graphs(self):
-        # A Laplacian's eigenvalue 1 has one eigenvector per component,
-        # D^{1/2} times the component's indicator; a quarter of the graphs
-        # repeat one component, so lower eigenvalues repeat too.
-        rng = np.random.default_rng(5)
-        for trial in range(200):
-            c = int(rng.integers(2, 7))
-            sizes = rng.integers(5, 30, size=c)
-            parts = [random_connected_component(rng, int(s)) for s in sizes]
-            if trial % 4 == 0:
-                sizes[:], parts = sizes[0], [parts[0]] * c
-            edges, offset, owner = [], 0, []
-            for comp, (size, part) in enumerate(zip(sizes, parts)):
-                edges += [(u + offset, v + offset) for u, v in part]
-                owner += [comp] * int(size)
-                offset += int(size)
-            g = Graph.from_edges(offset, edges)
-            vals, vecs = sym_eigs_topk(normalized_laplacian(g), c)
-            np.testing.assert_allclose(vals, np.ones(c), rtol=0, atol=1e-10)
-            basis = np.zeros((g.n, c))
-            basis[np.arange(g.n), owner] = np.sqrt(degrees(g))
-            basis /= np.linalg.norm(basis, axis=0)
-            assert max_sine(basis, vecs) <= 1e-7
+        assert_full_multiplicity_of_unit_eigenvalue(_lobpcg_topk)
 
-    def test_deterministic_descending_and_signed(self):
+    def test_deterministic_and_descending(self):
         g, k = GRAPHS[1]
         m = normalized_laplacian(g)
-        a, b = sym_eigs_topk(m, k), sym_eigs_topk(m, k)
-        assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
-        assert (np.diff(a.values) <= 0).all()
-        for j in range(k):
-            nz = np.flatnonzero(np.abs(a.vectors[:, j]) > 1e-12)
-            assert a.vectors[nz[0], j] > 0
+        a, b = _lobpcg_topk(m, k), _lobpcg_topk(m, k)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert (np.diff(a[0]) <= 0).all()
 
     def test_small_csr_takes_the_dense_path_bit_for_bit(self):
         # below 5k rows LOBPCG would fall back to a dense solve anyway
@@ -161,16 +188,152 @@ class TestCsrEigensolver:
         monkeypatch.setattr(spectral, "_LOBPCG_RUNS", 1)
         g, k = GRAPHS[2]
         with pytest.raises(NoConvergenceError, match="LOBPCG"):
-            sym_eigs_topk(normalized_laplacian(g), k)
+            _lobpcg_topk(normalized_laplacian(g), k)
 
     def test_k_checked_for_csr(self):
         with pytest.raises(InvalidInputError):
             sym_eigs_topk(normalized_laplacian(GRAPHS[0][0]), 0)
 
 
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def grid(side, torus=False):
+    ids = np.arange(side * side).reshape(side, side)
+    pairs = [
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+    ]
+    if torus:
+        pairs += [np.column_stack([ids[:, -1], ids[:, 0]]), np.column_stack([ids[-1], ids[0]])]
+    return Graph.from_edges(side * side, np.concatenate(pairs))
+
+
+def star_of_cliques(cliques, size):
+    """Node 0 joined to one node of each of ``cliques`` equal cliques."""
+    edges = []
+    for c in range(cliques):
+        first = 1 + c * size
+        edges.append((0, first))
+        edges += [(first + i, first + j) for i in range(size) for j in range(i + 1, size)]
+    return Graph.from_edges(1 + cliques * size, edges)
+
+
+class TestSolverDispatch:
+    """Which solver ``sym_eigs_topk`` sends a CSR matrix to, and that each
+    route matches dense eigh."""
+
+    @pytest.fixture(autouse=True)
+    def routes(self, monkeypatch):
+        # every CSR matrix here is past the dense cut-over; calls records
+        # (solver, returned pairs) for each ARPACK or LOBPCG call
+        monkeypatch.setattr(spectral, "_DENSE_EIGH_BELOW", 0)
+        calls = []
+        for name in ("_arpack_topk", "_lobpcg_topk"):
+            def spy(m, k, real=getattr(spectral, name), name=name):
+                out = real(m, k)
+                calls.append((name, out is not None))
+                return out
+            monkeypatch.setattr(spectral, name, spy)
+        return calls
+
+    def test_arpack_subspace_matches_dense_on_sampled_graphs(self, routes):
+        for g, k in GRAPHS:
+            for m in graph_matrices(g).values():
+                assert_matches_dense(m, k, sym_eigs_topk(m, k))
+        assert routes == [("_arpack_topk", True)] * (3 * len(GRAPHS))
+
+    @pytest.mark.parametrize("g, k, repeats", [
+        (cycle(200), 3, 2),  # cos(2 pi / n) twice
+        (cycle(301), 5, 2),
+        (grid(15), 3, 2),  # the x <-> y mirror
+        (star_of_cliques(4, 40), 4, 3),  # permuting the cliques
+        # ARPACK alone returns 3 of 4 and 6 of 7 copies here
+        (grid(20, torus=True), 5, 4),
+        (star_of_cliques(8, 20), 8, 7),
+    ], ids=["cycle-200", "cycle-301", "grid-15", "star-of-4-cliques", "torus-20",
+            "star-of-8-cliques"])
+    def test_repeated_second_eigenvalue_on_connected_graphs(self, routes, g, k, repeats):
+        # a returned repeat may be short of a copy, so it goes to LOBPCG
+        m = normalized_laplacian(g)
+        exact = np.linalg.eigvalsh(m.toarray())[::-1]
+        assert np.ptp(exact[1:1 + repeats]) < 1e-12 and exact[0] - exact[1] > 1e-6
+        assert exact[k - 1] - exact[k] > 1e-6  # the top-k subspace is well defined
+        assert_matches_dense(m, k, sym_eigs_topk(m, k))
+        assert routes == [("_arpack_topk", False), ("_lobpcg_topk", True)]
+
+    def test_disconnected_graphs_reach_lobpcg(self, routes):
+        # the first 60 of the 200 graphs: ARPACK alone missed a copy on 85
+        assert_full_multiplicity_of_unit_eigenvalue(sym_eigs_topk, count=60)
+        assert routes == [("_lobpcg_topk", True)] * 60
+
+    @pytest.mark.parametrize("value", [-0.05, 0.0], ids=["negative", "zero"])
+    def test_entry_that_is_not_positive_reaches_lobpcg(self, routes, value):
+        g, k = GRAPHS[1]
+        m = with_entry(normalized_laplacian(g), value)
+        assert m.nnz == 2 * g.num_edges
+        assert_matches_dense(m, k, sym_eigs_topk(m, k))
+        assert routes == [("_lobpcg_topk", True)]
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "error", "residual"])
+    def test_arpack_failure_reaches_lobpcg(self, routes, monkeypatch, failure):
+        import scipy.sparse.linalg as sla
+
+        real = sla.eigsh
+
+        def eigsh(m, k, **kwargs):
+            if failure == "no-convergence":
+                raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            if failure == "error":
+                raise sla.ArpackError(-9999)
+            vals, vecs = real(m, k, **kwargs)
+            return vals, vecs + 1e-6 * np.random.default_rng(0).standard_normal(vecs.shape)
+
+        monkeypatch.setattr(sla, "eigsh", eigsh)
+        g, k = GRAPHS[1]
+        m = normalized_laplacian(g)
+        assert_matches_dense(m, k, sym_eigs_topk(m, k))
+        assert routes == [("_arpack_topk", False), ("_lobpcg_topk", True)]
+
+    @pytest.mark.parametrize("n", [300, spectral._ARPACK_ONE_THREAD_BELOW + 1000])
+    def test_scipy_blas_threads_during_arpack(self, routes, monkeypatch, n):
+        # one thread below the cut-over, and the count restored after
+        import scipy.sparse.linalg as sla
+
+        lib = spectral._scipy_openblas()
+        threads = lib.scipy_openblas_get_num_threads if lib else lambda: None
+        before, seen, real = threads(), [], sla.eigsh
+
+        def eigsh(m, k, **kwargs):
+            seen.append(threads())
+            return real(m, k, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", eigsh)
+        g, _ = largest_connected_component(sample_graph(sbm_snr_preset(n, 3, 3.0, 10.0), seed=0))
+        assert spectral._arpack_topk(normalized_laplacian(g), 3) is not None
+        one = g.n < spectral._ARPACK_ONE_THREAD_BELOW
+        assert one == (n == 300)
+        assert seen == [None if lib is None else 1 if one else before]
+        assert threads() == before
+
+    @pytest.mark.parametrize("route", ["_arpack_topk", "_lobpcg_topk"])
+    def test_deterministic_descending_and_signed(self, routes, route):
+        g, k = GRAPHS[1]
+        m = normalized_laplacian(g)
+        if route == "_lobpcg_topk":
+            m = with_entry(m, -0.05)
+        a, b = sym_eigs_topk(m, k), sym_eigs_topk(m, k)
+        assert routes == [(route, True)] * 2
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
+        assert (np.diff(a.values) <= 0).all()
+        for j in range(k):
+            nz = np.flatnonzero(np.abs(a.vectors[:, j]) > 1e-12)
+            assert a.vectors[nz[0], j] > 0
+
+
 def test_csr_below_the_cut_over_is_eigh_bit_for_bit():
-    g, k = GRAPHS[0]
-    assert 5 * k <= g.n < spectral._DENSE_EIGH_BELOW
+    g, k = next((g, k) for g, k in GRAPHS if 5 * k <= g.n < spectral._DENSE_EIGH_BELOW)
     m = normalized_laplacian(g)
     a, b = sym_eigs_topk(m, k), sym_eigs_topk(m.toarray(), k)
     assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
