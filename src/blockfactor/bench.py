@@ -465,7 +465,9 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     for idx in range(0, len(records), step):
         rec = records[idx]
         seed = int(rec["seed"])
-        sweep_value = type(spec.sweep_values[0])(float(rec["sweep_value"]))
+        sweep_value = float(rec["sweep_value"])
+        if spec.sweep == "n":
+            sweep_value = int(sweep_value)
         _, truth = _cell_graph(spec, sweep_value, seed)
         labels = np.array([int(c) for c in rec["labels"]])
         rate, _ = misclustering_rate(truth, labels)

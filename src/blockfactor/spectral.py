@@ -21,6 +21,7 @@ near 2 MiB, or one restart's n x k x d values when that is larger.
 
 import contextlib
 import functools
+import threading
 import warnings
 from typing import NamedTuple, Optional
 
@@ -63,16 +64,6 @@ _ARPACK_MAXITER = 1000
 # at 90 rows, 1.5-1.7 vs 1.7-3.0 ms at 120, 2.6-2.8 vs 2.0-3.6 ms at 150,
 # 5.3-6.3 vs 3.5-4.8 ms at 200 and 32-33 vs 3.5-7.2 ms at 450.
 _DENSE_EIGH_BELOW = 150
-
-# Below this many rows ARPACK runs on one thread of scipy's bundled
-# OpenBLAS, a thread pool apart from numpy's.  On 2 cores, top-3 of a
-# sampled L took the same time on one thread or two at 800-20000 rows,
-# but with two, that pool's idle threads spun beside numpy's and slowed
-# the work around each solve: a fig1-sweep pass took 3.1-3.7 s (k-means
-# 1.0-1.2 s, both solvers 0.65-0.77 s), and 2.2-2.5 s (0.81-0.92 s,
-# 0.41-0.45 s) with ARPACK on one thread.  Two threads were 7-15% faster
-# from 3 * 10^4 rows.
-_ARPACK_ONE_THREAD_BELOW = 20_000
 
 # A block of b k-means restarts has b * n * k * d at most this many values
 # (2 MiB of float64), or b = 1 where one restart alone has more, as at
@@ -178,9 +169,8 @@ def _arpack_topk(m, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     v0 = np.random.default_rng(_LOBPCG_SEED).standard_normal(m.shape[0])
-    one_thread = m.shape[0] < _ARPACK_ONE_THREAD_BELOW
     try:
-        with _scipy_blas_on_one_thread() if one_thread else contextlib.nullcontext():
+        with _scipy_blas_on_one_thread():
             vals, vecs = eigsh(m, k, which="LA", v0=v0, maxiter=_ARPACK_MAXITER)
     except (ArpackNoConvergence, ArpackError):
         return None
@@ -213,20 +203,41 @@ def _scipy_openblas():
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_threads = 0
+
+
 @contextlib.contextmanager
 def _scipy_blas_on_one_thread():
-    """Run the block with scipy's bundled OpenBLAS on one thread, then
-    restore its thread count; a no-op without that library."""
+    """Run the block with scipy's bundled OpenBLAS, a thread pool apart
+    from numpy's, on one thread; a no-op without that library.
+
+    On 2 cores, with scipy's default two threads that pool's idle threads
+    spun beside numpy's and slowed the work around each solve: a
+    fig1-sweep pass took 3.1-3.7 s (k-means 1.0-1.2 s, both solvers
+    0.65-0.77 s), and 2.2-2.5 s (0.81-0.92 s, 0.41-0.45 s) with ARPACK on
+    one thread.  The thread count is process-wide, so the first of
+    overlapping blocks, in any Python thread, saves it and the last one
+    out restores it.
+    """
+    global _blas_users, _blas_threads
     lib = _scipy_openblas()
     if lib is None:
         yield
         return
-    threads = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads = lib.scipy_openblas_get_num_threads()
+            lib.scipy_openblas_set_num_threads(1)
+        _blas_users += 1
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads(threads)
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                lib.scipy_openblas_set_num_threads(_blas_threads)
 
 
 def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -148,8 +148,8 @@ class TestExperimentSpec:
                 tiny_spec(**overrides)
 
     def test_numeric_field_types_accepted(self):
-        spec = tiny_spec(k=np.int64(2), snr=4, avg_degree=[8, 12.5], base_seed=np.int32(3))
-        assert spec.k == 2 and spec.sweep_values == [8, 12.5]
+        spec = tiny_spec(k=np.int64(2), snr=4, avg_degree=[8, 12], base_seed=np.int32(3))
+        assert spec.k == 2 and spec.sweep_values == [8, 12]
         assert tiny_spec(model="dcsbm", sweep="n", n=[48, 64], avg_degree=8, beta=2).beta == 2
 
     @pytest.mark.parametrize("bad", [dict(methods=["louvain"]), dict(matrix="dense")])
@@ -210,6 +210,26 @@ class TestRunSimulation:
         path.write_text(text.replace(first_labels, corrupted, 1))
         with pytest.raises(BlockfactorError):
             verify_csv_rows(spec, path, fraction=1.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(avg_degree=[8, 12.5]),
+        dict(model="dcsbm", sweep="beta", beta=[3, 2.5], avg_degree=8),
+        dict(sweep="n", n=[48, 60], avg_degree=8),
+    ], ids=["avg_degree", "beta", "n"])
+    def test_spot_check_reads_back_mixed_numbers(self, tmp_path, monkeypatch, overrides):
+        # an int first in a swept list must not truncate the floats after it
+        spec = tiny_spec(**overrides)
+        path = tmp_path / "out.csv"
+        write_csv(run_simulation(spec), path)
+        seen, real = [], bench._cell_graph
+
+        def cell_graph(spec, sweep_value, seed):
+            seen.append(sweep_value)
+            return real(spec, sweep_value, seed)
+
+        monkeypatch.setattr(bench, "_cell_graph", cell_graph)
+        assert verify_csv_rows(spec, path, fraction=1.0) == len(read_csv(path))
+        assert sorted(set(seen)) == sorted(spec.sweep_values)
 
     def test_csv_schema(self, tmp_path):
         spec = tiny_spec()
