@@ -6,6 +6,7 @@ sampling, k-means) come from numpy SeedSequence entropy tuples on top of
 that seed, so sweeps parallelize without sharing generator state.
 """
 
+import contextlib
 import csv
 import io as _io
 import json
@@ -20,11 +21,11 @@ import numpy as np
 
 from .blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from .datasets import load_dataset
-from .errors import BlockfactorError, InvalidInputError
+from .errors import BlockfactorError, InvalidInputError, is_integer
 from .factorization import SolverConfig, assign_communities, frobenius_residual, osntf, snmf
 from .graphs import Graph, largest_connected_component, normalized_laplacian
 from .metrics import misclustering_rate, nmi
-from .spectral import graph_eigenvectors, kmeans, nmf_init_from_partition, unit_rows
+from .spectral import VARIANTS, graph_eigenvectors, kmeans, nmf_init_from_partition, unit_rows
 
 # Not called here, but bound in this module because perfbench/tracing.py
 # wraps them where bench looks them up.
@@ -56,12 +57,12 @@ _STREAM_GRAPH = 1
 _STREAM_KMEANS = 2
 
 
-# The partition each spectral method clusters: (graph matrix, rows scaled
-# to unit length before k-means).  "reg-spectral" also seeds the NMF methods.
+# The spectral.VARIANTS entry each spectral method clusters by.
+# "reg-spectral" also seeds the NMF methods.
 _SPECTRAL = {
-    "spectral": ("laplacian", False),
-    "reg-spectral": ("regularized", True),
-    "spectral-wp": ("regularized", False),
+    "spectral": VARIANTS["plain"],
+    "reg-spectral": VARIANTS["regularized"],
+    "spectral-wp": VARIANTS["regularized_no_projection"],
 }
 
 
@@ -90,12 +91,11 @@ class _SharedStages:
     are kept, with the seconds each took; no n x n matrix is.
     """
 
-    def __init__(self, g: Graph, k: int, seed, tau: Optional[float], restarts: int):
+    def __init__(self, g: Graph, k: int, seed, tau: Optional[float]):
         self.g = g
         self.k = k
         self.seed = seed
         self.tau = tau
-        self.restarts = restarts
         self._done: dict[tuple, tuple[np.ndarray, float]] = {}
 
     def _stage(self, key: tuple, compute) -> tuple[np.ndarray, float]:
@@ -113,10 +113,7 @@ class _SharedStages:
         )
         labels, kmeans_s = self._stage(
             (matrix, unit),
-            lambda: kmeans(
-                unit_rows(vectors) if unit else vectors,
-                self.k, seed=self.seed, restarts=self.restarts,
-            ),
+            lambda: kmeans(unit_rows(vectors) if unit else vectors, self.k, seed=self.seed),
         )
         return labels, eigs_s + kmeans_s
 
@@ -133,7 +130,7 @@ def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str,
     _check_methods_and_matrix(methods, matrix)
     if init not in ("reg-spectral", "spectral"):
         raise InvalidInputError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= g.n):
+    if not (is_integer(k) and 1 <= k <= g.n):
         raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
 
 
@@ -157,7 +154,7 @@ def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig,
         # coexists with the eigensolve's own matrix
         g, k = stages.g, stages.k
         x = normalized_laplacian(g) if matrix == "laplacian" else g.adjacency
-        h0 = nmf_init_from_partition(labels, k, offset=cfg.init_offset)
+        h0 = nmf_init_from_partition(labels, k)
         f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
         out = MethodOutput(
             labels=assign_communities(f.h),
@@ -178,7 +175,6 @@ def run_methods(
     cfg: SolverConfig = SolverConfig(),
     init: str = "reg-spectral",
     tau: Optional[float] = None,
-    restarts: int = 20,
 ) -> list[MethodOutput]:
     """Run community-detection methods on one graph, one output per method.
 
@@ -195,23 +191,14 @@ def run_methods(
     argument is checked before any of that work starts.
     """
     _check_method_options(g, k, methods, matrix, init)
-    stages = _SharedStages(g, k, seed, tau, restarts)
+    stages = _SharedStages(g, k, seed, tau)
     return [_run_one(stages, method, matrix, cfg, init) for method in methods]
 
 
-def run_method(
-    g: Graph,
-    k: int,
-    method: str,
-    seed,
-    matrix: str = "laplacian",
-    cfg: SolverConfig = SolverConfig(),
-    init: str = "reg-spectral",
-    tau: Optional[float] = None,
-    restarts: int = 20,
-) -> MethodOutput:
-    """Run one community-detection method on a graph (see ``run_methods``)."""
-    return run_methods(g, k, [method], seed, matrix, cfg, init, tau, restarts)[0]
+def run_method(g: Graph, k: int, method: str, seed, **options) -> MethodOutput:
+    """Run one community-detection method on a graph; ``options`` are
+    ``run_methods``'s ``matrix``, ``cfg``, ``init`` and ``tau``."""
+    return run_methods(g, k, [method], seed, **options)[0]
 
 
 # The type of each numeric ExperimentSpec field, or of each item of it
@@ -390,17 +377,18 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
 
     Cells run in a process pool when workers > 1; results merge in
     (sweep, method, replicate) order regardless of completion order.
+    ``progress(done, total)``, when given, is called as each cell's rows
+    arrive, in cell order.
     """
-    cells = [(sv, rep) for sv in spec.sweep_values for rep in range(spec.replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_simulate_cell, *zip(*[(spec, sv, rep) for sv, rep in cells])))
-    else:
-        chunks = []
-        for i, (sv, rep) in enumerate(cells):
-            chunks.append(_simulate_cell(spec, sv, rep))
+    cells = [(spec, sv, rep) for sv in spec.sweep_values for rep in range(spec.replicates)]
+    chunks = []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        # both maps yield in argument order
+        for chunk in (map if pool is None else pool.map)(_simulate_cell, *zip(*cells)):
+            chunks.append(chunk)
             if progress is not None:
-                progress(i + 1, len(cells))
+                progress(len(chunks), len(cells))
     method_order = {m: i for i, m in enumerate(spec.methods)}
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(
@@ -508,12 +496,11 @@ def realdata_table(
     k: int = 2,
     tau: Optional[float] = None,
     nmi_variant: str = "sum",
-    cfg: SolverConfig = SolverConfig(),
 ) -> list[dict]:
     """Per-method misclustered count and NMI on a benchmark dataset."""
     g, truth = load_dataset(dataset)
     out = []
-    for method, res in zip(methods, run_methods(g, k, methods, seed=seed, tau=tau, cfg=cfg)):
+    for method, res in zip(methods, run_methods(g, k, methods, seed=seed, tau=tau)):
         rate, _ = misclustering_rate(truth, res.labels)
         out.append(
             {

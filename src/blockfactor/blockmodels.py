@@ -138,16 +138,25 @@ def membership_matrix(p: BlockModel) -> np.ndarray:
     return m
 
 
+def _rates(p: BlockModel) -> tuple[np.ndarray, np.ndarray]:
+    """Block rates C and node weights t with population entries C[z_i, z_j] * (t_i * t_j).
+
+    The SBM is the DCSBM with every t_i = 1.
+    """
+    if isinstance(p, SbmParams):
+        return p.b, np.ones(p.n)
+    return p.b_prime, p.theta
+
+
 def population_adjacency(p: BlockModel, check_probabilities: bool = False) -> np.ndarray:
-    """Expected adjacency matrix of the model (exactly symmetric, rank <= K).
+    """Expected adjacency matrix C[z_i, z_j] * (t_i * t_j) of the model (see
+    ``_rates``); exactly symmetric, rank <= K.
 
     DCSBM entries can exceed 1; pass check_probabilities=True to reject
     such parameterizations when probability semantics are required.
     """
-    if isinstance(p, SbmParams):
-        return p.b[p.z[:, None], p.z[None, :]]
-    pop = p.b_prime[p.z[:, None], p.z[None, :]]
-    pop = pop * (p.theta[:, None] * p.theta[None, :])
+    c, t = _rates(p)
+    pop = c[p.z[:, None], p.z[None, :]] * (t[:, None] * t[None, :])
     if check_probabilities and pop.max() > 1.0:
         i, j = np.unravel_index(int(np.argmax(pop)), pop.shape)
         raise DcsbmEntryOutOfRangeError(
@@ -161,37 +170,23 @@ def expected_degrees(p: BlockModel) -> np.ndarray:
 
 
 def population_laplacian(p: BlockModel) -> np.ndarray:
-    """Population normalized Laplacian via the block closed form.
+    """Population normalized Laplacian, by one closed form for both models:
 
-    Equals direct normalization of the population adjacency by the
-    expected degrees; the identity is exercised in the tests.
+        L_ij = C[z_i, z_j] / sqrt(deg_{z_i} * deg_{z_j}) * sqrt(t_i) * sqrt(t_j),
+        deg = C @ bincount(z, weights=t)
+
+    with C and t from ``_rates``.  Node i's expected degree is t_i * deg_{z_i},
+    so this is the population adjacency normalized by the expected degrees,
+    whatever theta sums to in each block.  The first node of zero expected
+    degree raises ZeroExpectedDegreeError.
     """
-    if isinstance(p, SbmParams):
-        counts = block_sizes(p).astype(np.float64)
-        d_b = p.b @ counts
-        if (d_b <= 0).any():
-            q = int(np.flatnonzero(d_b <= 0)[0])
-            node = int(np.flatnonzero(p.z == q)[0])
-            raise ZeroExpectedDegreeError(node)
-        inv = 1.0 / np.sqrt(d_b)
-        b_l = inv[:, None] * p.b * inv[None, :]
-        return b_l[p.z[:, None], p.z[None, :]]
-    row = p.b_prime.sum(axis=1)
-    if (row <= 0).any():
-        q = int(np.flatnonzero(row <= 0)[0])
-        node = int(np.flatnonzero(p.z == q)[0])
-        raise ZeroExpectedDegreeError(node)
-    inv = 1.0 / np.sqrt(row)
-    b_l = inv[:, None] * p.b_prime * inv[None, :]
-    sqrt_theta = np.sqrt(p.theta)
-    return b_l[p.z[:, None], p.z[None, :]] * (sqrt_theta[:, None] * sqrt_theta[None, :])
-
-
-def _rates(p: BlockModel) -> tuple[np.ndarray, np.ndarray]:
-    """Block rates C and node weights t with population entries C[z_i, z_j] * (t_i * t_j)."""
-    if isinstance(p, SbmParams):
-        return p.b, np.ones(p.n)
-    return p.b_prime, p.theta
+    c, t = _rates(p)
+    deg = c @ np.bincount(p.z, weights=t, minlength=p.k)
+    if (zero := np.flatnonzero(deg[p.z] <= 0)).size:
+        raise ZeroExpectedDegreeError(int(zero[0]))
+    inv, root_t = 1.0 / np.sqrt(deg), np.sqrt(t)
+    block = inv[:, None] * c * inv[None, :]
+    return block[p.z[:, None], p.z[None, :]] * (root_t[:, None] * root_t[None, :])
 
 
 def _first_above(c: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:

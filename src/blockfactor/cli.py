@@ -12,7 +12,6 @@ import numpy as np
 from . import bench
 from .datasets import DATASETS
 from .errors import BlockfactorError
-from .factorization import SolverConfig
 from .io import load_graph, save_labels
 from .metrics import misclustering_rate, nmi
 
@@ -67,10 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factorize(args) -> int:
     g, truth = load_graph(args.graph)
-    cfg = SolverConfig()
     out = bench.run_method(
-        g, args.k, args.method, seed=args.seed,
-        matrix=args.matrix, cfg=cfg, init=args.init, tau=args.tau,
+        g, args.k, args.method, seed=args.seed, matrix=args.matrix, init=args.init, tau=args.tau
     )
     if args.out:
         save_labels(out.labels, args.out, names=g.node_names)

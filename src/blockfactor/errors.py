@@ -1,5 +1,12 @@
 """Exception hierarchy shared by all blockfactor modules."""
 
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 class BlockfactorError(Exception):
     """Base class for all errors raised by this package."""

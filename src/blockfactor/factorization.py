@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NonFiniteUpdateError,
+    is_integer,
 )
 from .graphs import as_csr
 
@@ -48,30 +49,28 @@ __all__ = [
 ]
 
 
+# Added to every update denominator: avoids 0/0 without measurably
+# moving the fixed points.
+_GUARD = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solvers.
+    """The stopping rule both solvers share.
 
-    max_iters: hard cap on update sweeps.
+    max_iters: hard cap on update sweeps, a positive integer.
     rel_tol: stop when the relative objective change falls below this,
         provided the residual trace can resolve a change that small.
-    denom_guard: epsilon added inside every update denominator (avoids
-        0/0 without measurably moving the fixed points).
-    init_offset: constant added to indicator initializations.
     """
 
     max_iters: int = 500
     rel_tol: float = 1e-6
-    denom_guard: float = 1e-12
-    init_offset: float = 0.2
 
     def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        if not (is_integer(self.max_iters) and self.max_iters > 0):
+            raise InvalidInputError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not 0 <= self.rel_tol < 1:
-            raise ValueError("rel_tol must lie in [0, 1)")
-        if self.denom_guard <= 0 or self.init_offset < 0:
-            raise ValueError("denom_guard must be positive and init_offset nonnegative")
+            raise InvalidInputError("rel_tol must lie in [0, 1)")
 
 
 @dataclass
@@ -189,20 +188,14 @@ def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.nd
     return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e)
 
 
-def _relative_change(prev: float, cur: float) -> float:
-    if prev == 0.0:
-        return 0.0
-    return abs(prev - cur) / prev
-
-
-def _snmf_update(xh: np.ndarray, h: np.ndarray, guard: float) -> np.ndarray:
-    denom = h @ (h.T @ h) + guard
+def _snmf_update(xh: np.ndarray, h: np.ndarray) -> np.ndarray:
+    denom = h @ (h.T @ h) + _GUARD
     return h * (0.5 + 0.5 * (xh / denom))
 
 
-def snmf_step(x: np.ndarray, h: np.ndarray, guard: float = 1e-12) -> np.ndarray:
+def snmf_step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One damped multiplicative sweep H <- H * (1/2 + (XH) / (2 H H^T H))."""
-    return _snmf_update(x @ h, h, guard)
+    return _snmf_update(x @ h, h)
 
 
 def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -214,30 +207,24 @@ def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig
 
     which keeps H nonnegative and decreases ||X - H H^T||_F.
     """
-    return _solve(
-        "snmf", x, k, h0, cfg, None, lambda xh, h, s, guard: (_snmf_update(xh, h, guard), None)
-    )
+    return _solve("snmf", x, k, h0, cfg, None, lambda xh, h, s: (_snmf_update(xh, h), None))
 
 
-def _osntf_update(
-    xh: np.ndarray, h: np.ndarray, s: np.ndarray, guard: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = h.T @ h
     s_num = h.T @ xh
-    s_den = gram @ s @ gram + guard
+    s_den = gram @ s @ gram + _GUARD
     s = s * np.sqrt(s_num / s_den)
 
     xhs = xh @ s
-    h_den = h @ (h.T @ xhs) + guard
+    h_den = h @ (h.T @ xhs) + _GUARD
     h = h * np.sqrt(xhs / h_den)
     return h, s
 
 
-def osntf_step(
-    x: np.ndarray, h: np.ndarray, s: np.ndarray, guard: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
+def osntf_step(x: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One tri-factorization sweep: the S rule, then the H rule."""
-    return _osntf_update(x @ h, h, s, guard)
+    return _osntf_update(x @ h, h, s)
 
 
 def _initial_s(xh: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -263,7 +250,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
     """The sweep loop both solvers share.
 
     ``s0(xh, h)`` gives the starting S, or ``s0`` is None for a solver
-    without one; ``update(xh, h, s, guard)`` returns the next ``(h, s)``,
+    without one; ``update(xh, h, s)`` returns the next ``(h, s)``,
     where ``xh = x @ h``.  Each sweep forms ``x @ h`` once, for the new H:
     it feeds both that sweep's residual and the next update, and no n x n
     array is built inside the loop; ``x`` may be dense or CSR.  Stops once
@@ -286,13 +273,14 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
     trace = [_residual_from(x_sq, xh, h, s)]
     converged = False
     for _ in range(cfg.max_iters):
-        h, s = update(xh, h, s, cfg.denom_guard)
+        h, s = update(xh, h, s)
         xh = x @ h
         trace.append(_residual_from(x_sq, xh, h, s))
         if not np.isfinite(trace[-1]):
             raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
+        # a resolvable change has trace[-2] > 0
         resolvable = 2.0 * cfg.rel_tol * (trace[-2] * trace[-2]) > noise_sq
-        if resolvable and _relative_change(trace[-2], trace[-1]) < cfg.rel_tol:
+        if resolvable and abs(trace[-2] - trace[-1]) / trace[-2] < cfg.rel_tol:
             converged = True
             break
     return Factorization(

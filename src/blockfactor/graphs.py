@@ -3,7 +3,7 @@
 Graph matrices (the adjacency matrix and the normalized Laplacian) are
 scipy CSR (compressed sparse row) arrays built from ``Graph.edge_array``
 on demand, O(n + m) in time and memory.  scipy is imported on the first
-such build, not when this module is imported.
+such build or component search, not when this module is imported.
 """
 
 import sys
@@ -194,25 +194,20 @@ def normalized_laplacian(g: Graph):
 def _component_roots(g: Graph) -> np.ndarray:
     """The smallest node of each node's component.
 
-    Every node points at a smaller or equal node of its own component.
-    Each round hooks the root of an edge's larger-labelled end onto the
-    other end's label, then pointer-jumps until every node points at a
-    root.  Once no edge joins two roots, the root of a component is its
-    smallest node, the only node that cannot point lower.
+    scipy's ``connected_components`` labels the upper-triangular pattern,
+    built straight from ``edge_array``: its rows are sorted, so the row
+    pointers are a cumulative sum of row counts and no sort is needed.
     """
-    root = np.arange(g.n)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components as label_components
+
     i, j = g.edge_array.T
-    while True:
-        ri, rj = root[i], root[j]
-        if np.array_equal(ri, rj):
-            return root
-        np.minimum.at(root, ri, rj)
-        np.minimum.at(root, rj, ri)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=g.n))))
+    upper = csr_array((np.ones(i.size), np.ascontiguousarray(j), indptr), shape=(g.n, g.n))
+    _, labels = label_components(upper, directed=False)
+    root = np.full(g.n, g.n)
+    np.minimum.at(root, labels, np.arange(g.n))
+    return root[labels]
 
 
 def connected_components(g: Graph) -> list[list[int]]:

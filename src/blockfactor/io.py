@@ -6,7 +6,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DanglingEdgeError, GraphParseError
+from .errors import DanglingEdgeError, GraphParseError, InvalidInputError
 from .graphs import MAX_NODES, Graph, symmetrize_directed
 
 __all__ = [
@@ -186,14 +186,21 @@ def load_gml(path: PathLike) -> tuple[Graph, Optional[np.ndarray]]:
 
 
 def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> None:
-    """Write the same GML subset the parser reads (ids 0..n-1)."""
+    """Write the same GML subset the parser reads (ids 0..n-1).
+
+    A node name the parser could not read back, one holding a ``"`` or a
+    line break, raises InvalidInputError before the file is opened.
+    """
     lines = ["graph ["]
     for i in range(g.n):
         parts = [f"  node [ id {i}"]
         if labels is not None and labels[i] >= 0:
             parts.append(f"value {int(labels[i])}")
         if g.node_names is not None:
-            parts.append(f'label "{g.node_names[i]}"')
+            label = f'"{g.node_names[i]}"'
+            if [tok for tok, _ in _tokenize_gml(label)] != [label]:
+                raise InvalidInputError(f"a GML string cannot hold '\"' or a line break: {label!r}")
+            parts.append(f"label {label}")
         lines.append(" ".join(parts) + " ]")
     for i, j in g.edge_array.tolist():
         lines.append(f"  edge [ source {i} target {j} ]")

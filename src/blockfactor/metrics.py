@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from .errors import LengthMismatchError, TooManyLabelsError
+from .errors import InvalidInputError, LengthMismatchError, TooManyLabelsError
 
 __all__ = [
     "confusion_table",
@@ -27,13 +27,17 @@ def _as_labels(a) -> np.ndarray:
 
 
 def confusion_table(a, b) -> np.ndarray:
-    """Count matrix with entry (i, j) = #nodes labeled i in a and j in b."""
+    """Count matrix with entry (i, j) = #nodes labeled i in a and j in b.
+
+    Every metric here starts from it, so it is where empty partitions
+    raise InvalidInputError.
+    """
     a, b = _as_labels(a), _as_labels(b)
     if a.shape != b.shape:
         raise LengthMismatchError(f"partition lengths differ: {a.size} vs {b.size}")
-    ka = int(a.max()) + 1 if a.size else 0
-    kb = int(b.max()) + 1 if b.size else 0
-    counts = np.zeros((ka, kb), dtype=np.int64)
+    if a.size == 0:
+        raise InvalidInputError("partitions must be nonempty")
+    counts = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
     np.add.at(counts, (a, b), 1)
     return counts
 
@@ -48,10 +52,7 @@ def nmi(a, b, variant: str = "sum") -> float:
     entropy) the partitions agree trivially and the value is 1.
     """
     counts = confusion_table(a, b)
-    n = counts.sum()
-    if n == 0:
-        raise ValueError("partitions must be nonempty")
-    pij = counts / n
+    pij = counts / counts.sum()
     pa = pij.sum(axis=1)
     pb = pij.sum(axis=0)
     # entropy form keeps nmi(a, a) at exactly 1.0

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NoConvergenceError
+from .errors import InvalidInputError, NoConvergenceError, is_integer
 from .graphs import Graph, _scaled_adjacency, as_csr, degrees, normalized_laplacian
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "regularized_laplacian",
     "graph_eigenvectors",
     "unit_rows",
+    "VARIANTS",
     "spectral_clustering",
     "nmf_init_from_partition",
 ]
@@ -105,8 +106,8 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("matrix must be square")
     n = m.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k={k} out of range for n={n}")
+    if not (is_integer(k) and 1 <= k <= n):
+        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
     if csr is not None and n >= max(5 * k, _DENSE_EIGH_BELOW):
         pairs = _arpack_topk(csr, k) if _irreducible_nonnegative(csr) else None
         vals, vecs = pairs if pairs is not None else _lobpcg_topk(csr, k)
@@ -459,8 +460,8 @@ def kmeans(
     if points.ndim != 2 or points.shape[1] == 0:
         raise InvalidInputError("points must be an N x D matrix with D >= 1")
     n, d = points.shape
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k={k} out of range for {n} points")
+    if not (is_integer(k) and 1 <= k <= n):
+        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}] for {n} points")
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
     rng = np.random.default_rng(seed)
@@ -520,32 +521,31 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def spectral_clustering(
-    g: Graph,
-    k: int,
-    variant: str = "plain",
-    seed=0,
-    tau: Optional[float] = None,
-    restarts: int = 20,
-) -> np.ndarray:
-    """Spectral clustering on the normalized Laplacian.
+# Spectral-clustering variant -> (graph matrix of ``graph_eigenvectors``,
+# rows scaled to unit length before k-means).
+VARIANTS = {
+    "plain": ("laplacian", False),
+    "regularized": ("regularized", True),
+    "regularized_no_projection": ("regularized", False),
+}
 
-    variant:
+
+def spectral_clustering(
+    g: Graph, k: int, variant: str = "plain", seed=0, tau: Optional[float] = None
+) -> np.ndarray:
+    """Spectral clustering on the normalized Laplacian, by ``VARIANTS`` entry:
+
       * "plain": k-means on the raw rows of the top-k eigenvectors of L;
         requires every node to have an edge.
       * "regularized": eigenvectors of L_tau, rows projected to the unit
         circle (zero rows left alone) before k-means.
       * "regularized_no_projection": same without the row normalization.
     """
-    if variant == "plain":
-        rows = graph_eigenvectors(g, k, "laplacian")
-    elif variant in ("regularized", "regularized_no_projection"):
-        rows = graph_eigenvectors(g, k, "regularized", tau=tau)
-        if variant == "regularized":
-            rows = unit_rows(rows)
-    else:
+    if variant not in VARIANTS:
         raise InvalidInputError(f"unknown spectral variant {variant!r}")
-    return kmeans(rows, k, seed=seed, restarts=restarts)
+    matrix, unit = VARIANTS[variant]
+    rows = graph_eigenvectors(g, k, matrix, tau=tau)
+    return kmeans(unit_rows(rows) if unit else rows, k, seed=seed)
 
 
 def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> np.ndarray:

@@ -255,6 +255,13 @@ class TestRunSimulation:
         parallel = rows_to_csv_text(run_simulation(spec, workers=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reports_every_cell(self, workers):
+        calls = []
+        run_simulation(tiny_spec(replicates=1), workers=workers,
+                       progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(1, 2), (2, 2)]
+
 
 class TestWinners:
     def test_single_method_wins_everywhere(self, tmp_path):
@@ -299,6 +306,13 @@ class TestRunMethod:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(ValueError):
             run_method(g, 2, "snmf", seed=0, matrix="modularity")
+
+    def test_spectral_methods_use_the_spectral_variants(self):
+        assert bench._SPECTRAL == {
+            "spectral": spectral.VARIANTS["plain"],
+            "reg-spectral": spectral.VARIANTS["regularized"],
+            "spectral-wp": spectral.VARIANTS["regularized_no_projection"],
+        }
 
     @pytest.mark.parametrize("bad", [dict(matrix="modularity"), dict(init="random")])
     def test_bad_option_fails_before_any_work(self, monkeypatch, bad):
@@ -450,7 +464,7 @@ class TestRunMethods:
     @pytest.mark.parametrize("options", SHARED_OPTIONS)
     def test_cache_holds_no_n_by_n_array(self, options):
         g = sbm_graph()
-        stages = bench._SharedStages(g, 3, seed=0, tau=None, restarts=20)
+        stages = bench._SharedStages(g, 3, seed=0, tau=None)
         cfg = SolverConfig(max_iters=20)
         for method in METHODS:
             bench._run_one(stages, method, options.get("matrix", "laplacian"), cfg,
@@ -475,7 +489,7 @@ class TestRunMethods:
             for out in run_methods(g, 3, methods, seed=0, cfg=cfg):
                 assert out.wall_time_s >= 0.05
 
-    @pytest.mark.parametrize("k", [0, 35, 40, 2.0])
+    @pytest.mark.parametrize("k", [0, 35, 40, 2.0, True, "2"])
     def test_k_outside_the_graph_fails_before_any_work(self, monkeypatch, k):
         g, _ = load_dataset("karate")
         forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")

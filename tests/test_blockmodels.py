@@ -159,6 +159,18 @@ class TestPopulationLaplacian:
                 direct = pop / np.sqrt(deg[:, None] * deg[None, :])
                 assert np.abs(population_laplacian(p) - direct).max() < 1e-12
 
+    def test_closed_form_holds_when_theta_block_sums_miss_one(self):
+        # the constructor accepts block sums within 1e-8 of 1; the closed
+        # form must not assume they are exactly 1
+        z = np.repeat([0, 1], 4)
+        theta = np.tile([0.1, 0.2, 0.3, 0.4], 2) * np.repeat([1 + 9e-9, 1 - 9e-9], 4)
+        p = DcsbmParams(z=z, b_prime=np.array([[2.0, 0.5], [0.5, 1.5]]), theta=theta)
+        pop = population_adjacency(p)
+        deg = pop.sum(axis=1)
+        direct = pop / np.sqrt(deg[:, None] * deg[None, :])
+        lap = population_laplacian(p)
+        assert np.abs(lap - direct).max() <= 1e-12 * np.abs(direct).max()
+
     def test_zero_expected_degree(self):
         p = SbmParams(z=np.array([0, 1]), b=np.array([[0.5, 0.0], [0.0, 0.0]]))
         with pytest.raises(ZeroExpectedDegreeError):

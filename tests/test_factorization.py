@@ -305,6 +305,26 @@ class TestSweepLoop:
 
 
 class TestInputChecks:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(max_iters=2.5),
+            dict(max_iters=True),
+            dict(max_iters="5"),
+            dict(max_iters=0),
+            dict(max_iters=-1),
+            dict(rel_tol=1.0),
+            dict(rel_tol=-1e-3),
+            dict(rel_tol=float("nan")),
+        ],
+    )
+    def test_bad_config_is_a_typed_error(self, options):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**options)
+
+    def test_numpy_integer_max_iters(self):
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("solver", [snmf, osntf])
     def test_non_finite_entry_is_a_typed_error(self, solver, bad):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockfactor.errors import DanglingEdgeError, GraphParseError
+from blockfactor.errors import DanglingEdgeError, GraphParseError, InvalidInputError
 from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import (
     load_edgelist,
@@ -142,6 +142,22 @@ class TestGml:
         assert g2.edges == g.edges
         assert g2.node_names == g.node_names
         assert labels2.tolist() == [0, 1, -1]
+
+    def test_names_with_spaces_and_brackets_round_trip(self, tmp_path):
+        names = ["two words", "[x]", "] [", "a\tb", ""]
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], node_names=names)
+        p = tmp_path / "g.gml"
+        save_gml(g, p)
+        g2, _ = load_gml(p)
+        assert g2 == g
+
+    @pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "cr\r", "sep\u2028"])
+    def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
+        g = Graph.from_edges(2, [(0, 1)], node_names=["ok", name])
+        p = tmp_path / "g.gml"
+        with pytest.raises(InvalidInputError, match="GML string"):
+            save_gml(g, p)
+        assert not p.exists()
 
 
 class TestLabelsFile:

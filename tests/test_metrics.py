@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from blockfactor.errors import LengthMismatchError, TooManyLabelsError
+from blockfactor.errors import InvalidInputError, LengthMismatchError, TooManyLabelsError
 from blockfactor.metrics import (
     confusion_table,
     misclustered_count,
@@ -169,3 +169,12 @@ class TestMisclusteredCount:
     def test_self_is_zero(self):
         a = np.array([0, 1, 0, 2])
         assert misclustered_count(a, a) == 0
+
+
+class TestEmptyPartitions:
+    @pytest.mark.parametrize(
+        "metric", [confusion_table, nmi, misclustering_rate, misclustered_count, misclustered_nodes]
+    )
+    def test_typed_error(self, metric):
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            metric([], [])

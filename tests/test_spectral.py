@@ -203,6 +203,17 @@ class TestTypedErrors:
         with pytest.raises(InvalidInputError, match="labels"):
             nmf_init_from_partition(np.array([-1, 0]), 2)
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), True, "2"])
+    def test_non_integer_k(self, k):
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(InvalidInputError, match="integer"):
+            sym_eigs_topk(np.eye(4), k)
+        with pytest.raises(InvalidInputError, match="integer"):
+            kmeans(points, k, 0)
+
+    def test_numpy_integer_k(self):
+        assert sym_eigs_topk(np.eye(4), np.int64(2)).vectors.shape == (4, 2)
+
 
 class TestNmfInit:
     def test_documented_example(self):
