@@ -404,9 +404,10 @@ def dcsbm_powerlaw_preset(
     hi = target_avg_degree * n / float(pattern.sum())  # exact when nothing clips
     while clipped_mean(hi) < target_avg_degree:
         hi *= 2.0
+    # clipped_mean(lo) < target <= clipped_mean(hi) throughout, so once mid
+    # rounds to lo or hi every further step would reassign the same value
     lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if clipped_mean(mid) < target_avg_degree:
             lo = mid
         else:

@@ -17,7 +17,6 @@ from .metrics import misclustering_rate, nmi
 
 
 def _add_common_method_flags(p):
-    p.add_argument("--matrix", choices=["laplacian", "adjacency"], default="laplacian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=None,
                    help="regularizer for the regularized variants (default: average degree)")
@@ -37,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact.add_argument("--method", choices=bench.METHODS, default="osntf")
     p_fact.add_argument("--init", choices=["reg-spectral", "spectral"], default="reg-spectral")
     p_fact.add_argument("--out", default=None, help="labels file (default: stdout)")
+    p_fact.add_argument("--matrix", choices=["laplacian", "adjacency"], default="laplacian")
     _add_common_method_flags(p_fact)
 
     p_sim = sub.add_parser("simulate", help="run a simulation sweep from a JSON spec")
@@ -73,10 +73,7 @@ def _cmd_factorize(args) -> int:
         save_labels(out.labels, args.out, names=g.node_names)
     else:
         for i, lab in enumerate(out.labels):
-            if g.node_names is not None:
-                print(f"{g.node_names[i]}\t{int(lab)}")
-            else:
-                print(int(lab))
+            print(int(lab) if g.node_names is None else f"{g.node_names[i]}\t{int(lab)}")
     print(f"# method={args.method} matrix={args.matrix} n={g.n} k={args.k}", file=sys.stderr)
     if out.iterations:
         print(

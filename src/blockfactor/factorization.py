@@ -17,7 +17,8 @@ product X H, which costs O(mk) for CSR X with m stored entries.
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .errors import (
     NonFiniteUpdateError,
     is_integer,
 )
-from .graphs import as_csr
+from .graphs import as_matrix
 
 __all__ = [
     "SolverConfig",
@@ -69,8 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (is_integer(self.max_iters) and self.max_iters > 0):
             raise InvalidInputError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not 0 <= self.rel_tol < 1:
-            raise InvalidInputError("rel_tol must lie in [0, 1)")
+        if not (isinstance(self.rel_tol, numbers.Real) and 0 <= self.rel_tol < 1):
+            raise InvalidInputError(f"rel_tol must be a number in [0, 1), got {self.rel_tol!r}")
 
 
 @dataclass
@@ -96,17 +97,10 @@ class Factorization:
     iterations: int
     converged: bool
     orthogonality_drift: Optional[float] = None
-    method: str = field(default="", repr=False)
-
-
-def _matrix(x):
-    """``x`` as a float64 CSR array if it is sparse, else as a dense float64 array."""
-    csr = as_csr(x)
-    return np.asarray(x, dtype=np.float64) if csr is None else csr
 
 
 def _entries(x) -> np.ndarray:
-    """The stored entries of a ``_matrix``; ||x||_F is their 2-norm."""
+    """The stored entries of an ``as_matrix`` result; ||x||_F is their 2-norm."""
     return x if isinstance(x, np.ndarray) else x.data
 
 
@@ -120,7 +114,7 @@ def _is_symmetric(x) -> bool:
 
 def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
     """Shape, finiteness, symmetry and sign checks; ``x`` is dense or CSR
-    (from ``_matrix``) and ``x_sq`` is ``||x||_F^2``."""
+    (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatchError(f"x must be square, got shape {x.shape}")
     n = x.shape[0]
@@ -151,14 +145,10 @@ def frobenius_residual(x, h: np.ndarray, s: Optional[np.ndarray] = None) -> floa
     Exact for dense x.  For CSR x it is the Gram identity's value (see
     ``Factorization``), which needs no n x n array.
     """
-    csr = as_csr(x)
-    if csr is not None:
-        return _residual_from(float(np.vdot(csr.data, csr.data)), csr @ h, h, s)
-    if s is None:
-        approx = h @ h.T
-    else:
-        approx = h @ s @ h.T
-    return float(np.linalg.norm(x - approx))
+    x = as_matrix(x)
+    if not isinstance(x, np.ndarray):
+        return _residual_from(float(np.vdot(x.data, x.data)), x @ h, h, s)
+    return float(np.linalg.norm(x - (h @ h.T if s is None else h @ s @ h.T)))
 
 
 def _identity_sq(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
@@ -259,7 +249,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
     up to ``cfg.max_iters``), and raises NonFiniteUpdateError as soon as a
     residual is not finite.
     """
-    x = _matrix(x)
+    x = as_matrix(x)
     h = np.array(h0, dtype=np.float64)
     x_sq = float(np.vdot(_entries(x), _entries(x)))
     _check_solver_inputs(x, x_sq, k, h)
@@ -290,7 +280,6 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
         iterations=len(trace) - 1,
         converged=converged,
         orthogonality_drift=None if s is None else float(np.linalg.norm(h.T @ h - np.eye(k))),
-        method=method,
     )
 
 
@@ -312,7 +301,7 @@ def osntf_objective(x, h: np.ndarray) -> float:
     For h with orthonormal columns, minimizing ||x - h s h^T||_F with
     s = h^T x h is equivalent to maximizing this value.
     """
-    x = _matrix(x)
+    x = as_matrix(x)
     h = np.asarray(h)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or h.ndim != 2 or h.shape[0] != x.shape[0]:
         raise DimensionMismatchError(
@@ -342,7 +331,7 @@ def exactness_diagnostics(
     largest) equals 1.0 there.  Iteratively solved factorizations
     approach that structure slowly; probe them with a looser threshold.
     """
-    x = _matrix(x)
+    x = as_matrix(x)
     residual = frobenius_residual(x, f.h, f.s)
     norm_x = float(np.linalg.norm(_entries(x)))
     drift = float(np.linalg.norm(f.h.T @ f.h - np.eye(f.h.shape[1])))

@@ -156,16 +156,16 @@ def _scaled_adjacency(g: Graph, w: np.ndarray):
     return a
 
 
-def as_csr(x):
+def as_matrix(x):
     """``x`` as a float64 CSR array in canonical form if it is a scipy
-    sparse matrix, else None.
+    sparse matrix, else as a dense float64 array.
 
     Only a module that has already imported scipy.sparse can have made a
     sparse ``x``, so dense callers never load scipy through this test.
     """
     sparse = sys.modules.get("scipy.sparse")
     if sparse is None or not sparse.issparse(x):
-        return None
+        return np.asarray(x, dtype=np.float64)
     x = sparse.csr_array(x, dtype=np.float64)
     if not x.has_canonical_format:
         x = x.copy()

@@ -25,6 +25,15 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
+def _content_lines(fh):
+    """(line number, text) of each line of ``fh`` with any `#` comment cut
+    off and surrounding whitespace stripped; blank results are skipped."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_edge_pairs(path: PathLike) -> np.ndarray:
     """Raw ordered integer pairs from a whitespace edge list, as an (m, 2)
     int64 array in file order.
@@ -35,10 +44,7 @@ def read_edge_pairs(path: PathLike) -> np.ndarray:
     """
     ids = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in _content_lines(fh):
             parts = line.split()
             if len(parts) != 2:
                 raise GraphParseError(
@@ -189,8 +195,11 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
     """Write the same GML subset the parser reads (ids 0..n-1).
 
     A node name the parser could not read back, one holding a ``"`` or a
-    line break, raises InvalidInputError before the file is opened.
+    line break, or a ``labels`` whose length is not the node count, raises
+    InvalidInputError before the file is opened.
     """
+    if labels is not None and len(labels) != g.n:
+        raise InvalidInputError(f"labels has {len(labels)} entries for {g.n} nodes")
     lines = ["graph ["]
     for i in range(g.n):
         parts = [f"  node [ id {i}"]
@@ -212,10 +221,7 @@ def load_labels(path: PathLike) -> np.ndarray:
     """Integer labels, one per line, `#` comments allowed."""
     out = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in _content_lines(fh):
             try:
                 out.append(int(line.split("\t")[-1]))
             except ValueError:
@@ -224,27 +230,25 @@ def load_labels(path: PathLike) -> np.ndarray:
 
 
 def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
-    """One label per line; `name<TAB>label` when node names are given."""
+    """One label per line; `name<TAB>label` when node names are given.
+
+    A name ``load_labels`` could not read back, one holding a `#`, a tab
+    or a line break, raises InvalidInputError before the file is opened.
+    """
+    for name in names if names is not None else ():
+        if re.search("[#\t\n\r]", name):
+            raise InvalidInputError(f"a label file name cannot hold #, tab or newline: {name!r}")
     with open(path, "w") as fh:
         for i, lab in enumerate(labels):
-            if names is not None:
-                fh.write(f"{names[i]}\t{int(lab)}\n")
-            else:
-                fh.write(f"{int(lab)}\n")
+            fh.write(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n")
 
 
-def load_graph(
-    path: PathLike, fmt: Optional[str] = None
-) -> tuple[Graph, Optional[np.ndarray]]:
+def load_graph(path: PathLike) -> tuple[Graph, Optional[np.ndarray]]:
     """Load a graph file plus ground-truth labels when the file carries them.
 
-    ``fmt`` is 'gml' or 'edgelist'; inferred from the suffix when omitted.
+    A `.gml` suffix (any case) means GML; anything else is an edge list.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "gml" if path.suffix.lower() == ".gml" else "edgelist"
-    if fmt == "gml":
+    if path.suffix.lower() == ".gml":
         return load_gml(path)
-    if fmt == "edgelist":
-        return load_edgelist(path), None
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return load_edgelist(path), None

@@ -51,6 +51,8 @@ def nmi(a, b, variant: str = "sum") -> float:
     "max" and "min".  When both partitions are single-class (zero total
     entropy) the partitions agree trivially and the value is 1.
     """
+    if variant not in ("sum", "avg", "sqrt", "max", "min"):
+        raise InvalidInputError(f"unknown NMI variant {variant!r}")
     counts = confusion_table(a, b)
     pij = counts / counts.sum()
     pa = pij.sum(axis=1)
@@ -68,10 +70,8 @@ def nmi(a, b, variant: str = "sum") -> float:
         denom = float(np.sqrt(h_a * h_b))
     elif variant == "max":
         denom = max(h_a, h_b)
-    elif variant == "min":
-        denom = min(h_a, h_b)
     else:
-        raise ValueError(f"unknown NMI variant {variant!r}")
+        denom = min(h_a, h_b)
     if denom == 0.0:
         return 0.0
     return float(min(1.0, max(0.0, info / denom)))

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConvergenceError, is_integer
-from .graphs import Graph, _scaled_adjacency, as_csr, degrees, normalized_laplacian
+from .graphs import Graph, _scaled_adjacency, as_matrix, degrees, normalized_laplacian
 
 __all__ = [
     "EigenPairs",
@@ -101,21 +101,19 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     Signs follow the convention that the first nonzero coordinate of each
     eigenvector is positive, so repeated runs are comparable.
     """
-    csr = as_csr(m)
-    m = np.asarray(m, dtype=np.float64) if csr is None else csr
+    m = as_matrix(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("matrix must be square")
     n = m.shape[0]
     if not (is_integer(k) and 1 <= k <= n):
         raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
-    if csr is not None and n >= max(5 * k, _DENSE_EIGH_BELOW):
-        pairs = _arpack_topk(csr, k) if _irreducible_nonnegative(csr) else None
-        vals, vecs = pairs if pairs is not None else _lobpcg_topk(csr, k)
+    dense = isinstance(m, np.ndarray)
+    if not dense and n >= max(5 * k, _DENSE_EIGH_BELOW):
+        pairs = _arpack_topk(m, k) if _irreducible_nonnegative(m) else None
+        vals, vecs = pairs if pairs is not None else _lobpcg_topk(m, k)
     else:
-        if csr is not None:
-            m = csr.toarray()
         try:
-            vals, vecs = np.linalg.eigh(m)
+            vals, vecs = np.linalg.eigh(m if dense else m.toarray())
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
         order = np.arange(n)[::-1][:k]
@@ -530,21 +528,19 @@ VARIANTS = {
 }
 
 
-def spectral_clustering(
-    g: Graph, k: int, variant: str = "plain", seed=0, tau: Optional[float] = None
-) -> np.ndarray:
+def spectral_clustering(g: Graph, k: int, variant: str = "plain", seed=0) -> np.ndarray:
     """Spectral clustering on the normalized Laplacian, by ``VARIANTS`` entry:
 
       * "plain": k-means on the raw rows of the top-k eigenvectors of L;
         requires every node to have an edge.
-      * "regularized": eigenvectors of L_tau, rows projected to the unit
-        circle (zero rows left alone) before k-means.
+      * "regularized": eigenvectors of L_tau, tau the average degree, rows
+        projected to the unit circle (zero rows left alone) before k-means.
       * "regularized_no_projection": same without the row normalization.
     """
     if variant not in VARIANTS:
         raise InvalidInputError(f"unknown spectral variant {variant!r}")
     matrix, unit = VARIANTS[variant]
-    rows = graph_eigenvectors(g, k, matrix, tau=tau)
+    rows = graph_eigenvectors(g, k, matrix)
     return kmeans(unit_rows(rows) if unit else rows, k, seed=seed)
 
 

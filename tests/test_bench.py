@@ -27,8 +27,14 @@ from blockfactor.bench import (
 from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from blockfactor.datasets import karate, load_dataset
 from blockfactor.errors import BlockfactorError, InvalidInputError
-from blockfactor.factorization import SolverConfig, assign_communities, osntf
-from blockfactor.graphs import Graph, largest_connected_component
+from blockfactor.factorization import (
+    SolverConfig,
+    assign_communities,
+    frobenius_residual,
+    osntf,
+    snmf,
+)
+from blockfactor.graphs import Graph, largest_connected_component, normalized_laplacian
 from blockfactor.spectral import nmf_init_from_partition, spectral_clustering
 
 
@@ -362,6 +368,31 @@ class TestRunMethod:
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         out = run_method(g, 2, "snmf", seed=0, init="spectral")
         assert out.iterations > 0
+
+
+class TestReportedResidual:
+    """The reported residual is the solve's last trace entry, which for the
+    CSR targets run_method builds is frobenius_residual's value bit for bit."""
+
+    @pytest.mark.parametrize("matrix", ["laplacian", "adjacency"])
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    @pytest.mark.parametrize("graph", ["karate", "sbm"])
+    def test_equals_frobenius_residual(self, graph, method, matrix):
+        if graph == "karate":
+            g, _ = karate()
+            k = 2
+        else:
+            g, _ = largest_connected_component(
+                sample_graph(sbm_snr_preset(300, 3, 4.0, 12.0), seed=[3, 1])
+            )
+            k = 3
+        out = run_method(g, k, method, seed=0, matrix=matrix)
+        x = normalized_laplacian(g) if matrix == "laplacian" else g.adjacency
+        h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
+        f = (snmf if method == "snmf" else osntf)(x, k, h0)
+        assert np.array_equal(out.labels, assign_communities(f.h))
+        assert type(out.residual) is float
+        assert out.residual == frobenius_residual(x, f.h, f.s)
 
 
 def recording(real, name, calls):

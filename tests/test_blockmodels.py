@@ -20,6 +20,7 @@ from blockfactor.blockmodels import (
     sbm_snr_preset,
 )
 from blockfactor.blockmodels import (  # the O(n log n) and unranking helpers
+    _balanced_labels,
     _clipped_entries,
     _clipped_mean_degree,
     _first_above,
@@ -290,6 +291,70 @@ class TestDcsbmPreset:
     def test_expected_degrees_helper(self):
         p = sbm_snr_preset(30, 3, 2.0, 6.0)
         assert expected_degrees(p).sum() / 30 == pytest.approx(6.0, abs=1e-9)
+
+
+def preset_80_steps(n, k, snr, target_avg_degree, beta, seed):
+    """The DCSBM preset as it was with a fixed 80 bisection steps, and the
+    number of those steps that moved the bracket."""
+    z = _balanced_labels(n, k)
+    rng = np.random.default_rng(seed)
+    theta = rng.pareto(beta - 1.0, size=n) + 1.0
+    for q in range(k):
+        mask = z == q
+        theta[mask] = theta[mask] / theta[mask].sum()
+    pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
+
+    def clipped_mean(scale):
+        return _clipped_mean_degree(z, theta, scale * pattern)
+
+    hi = target_avg_degree * n / float(pattern.sum())
+    while clipped_mean(hi) < target_avg_degree:
+        hi *= 2.0
+    lo = 0.0
+    moved = 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        moved += lo < mid < hi
+        if clipped_mean(mid) < target_avg_degree:
+            lo = mid
+        else:
+            hi = mid
+    return DcsbmParams(z=z, b_prime=hi * pattern, theta=theta), moved
+
+
+class TestDcsbmBisection:
+    """The bisection stops once its bracket cannot shrink, with the scale
+    the fixed 80-step loop reached."""
+
+    def test_matches_the_80_step_loop(self):
+        calls, most_moved = 0, 0
+        for n in (120, 600, 2000):
+            for beta in (2.1, 2.5, 3.0, 4.0):
+                for degree in (4.0, 12.0, 30.0):
+                    for seed in range(12):
+                        args = (n, 3, 3.0, degree, beta, [seed, n])
+                        want, moved = preset_80_steps(*args)
+                        got = dcsbm_powerlaw_preset(*args)
+                        assert np.array_equal(got.b_prime, want.b_prime), args
+                        assert np.array_equal(got.theta, want.theta)
+                        calls += 1
+                        most_moved = max(most_moved, moved)
+        assert calls >= 400
+        assert most_moved < 80  # the 80-step loop had stopped moving too
+
+    def test_zero_target(self):
+        want, _ = preset_80_steps(60, 2, 3.0, 0.0, 2.5, 0)
+        got = dcsbm_powerlaw_preset(60, 2, 3.0, 0.0, 2.5, seed=0)
+        assert np.array_equal(got.b_prime, want.b_prime)
+        assert not got.b_prime.any()
+
+    def test_negative_target_raises_the_same_error(self):
+        with pytest.raises(ValueError) as want:
+            preset_80_steps(60, 2, 3.0, -1.0, 2.5, 0)
+        with pytest.raises(ValueError) as got:
+            dcsbm_powerlaw_preset(60, 2, 3.0, -1.0, 2.5, seed=0)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def edge_counts(p, reps):

@@ -141,3 +141,16 @@ class TestRealdataCommand:
     def test_missing_fixture_exit_code(self, capsys):
         assert main(["realdata", "polblogs"]) == 2
         assert "fetch" in capsys.readouterr().err
+
+    def test_matrix_is_a_factorize_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["realdata", "karate", "--matrix", "adjacency"])
+        assert exc.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
+
+    def test_factorize_takes_the_matrix_flag(self, capsys):
+        from blockfactor.datasets import data_dir
+
+        gml = data_dir() / "karate.gml"
+        assert main(["factorize", str(gml), "--k", "2", "--matrix", "adjacency"]) == 0
+        assert "matrix=adjacency" in capsys.readouterr().err

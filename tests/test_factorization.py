@@ -316,6 +316,8 @@ class TestInputChecks:
             dict(rel_tol=1.0),
             dict(rel_tol=-1e-3),
             dict(rel_tol=float("nan")),
+            dict(rel_tol="x"),
+            dict(rel_tol=None),
         ],
     )
     def test_bad_config_is_a_typed_error(self, options):

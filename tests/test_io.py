@@ -159,6 +159,13 @@ class TestGml:
             save_gml(g, p)
         assert not p.exists()
 
+    def test_labels_of_the_wrong_length_rejected_before_writing(self, tmp_path):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        p = tmp_path / "g.gml"
+        with pytest.raises(InvalidInputError, match="1 entries for 3 nodes"):
+            save_gml(g, p, labels=np.array([0]))
+        assert not p.exists()
+
 
 class TestLabelsFile:
     def test_round_trip_plain(self, tmp_path):
@@ -171,3 +178,15 @@ class TestLabelsFile:
         save_labels(np.array([1, 0]), p, names=["a", "b"])
         assert p.read_text() == "a\t1\nb\t0\n"
         assert load_labels(p).tolist() == [1, 0]
+
+    def test_round_trip_with_names_holding_spaces(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        save_labels(np.array([2, 0, 1]), p, names=["two words", " padded ", ""])
+        assert load_labels(p).tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("name", ["a#1", "tab\there", "two\nlines", "cr\r"])
+    def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
+        p = tmp_path / "labels.txt"
+        with pytest.raises(InvalidInputError, match="label file name cannot hold"):
+            save_labels(np.array([0, 1]), p, names=["ok", name])
+        assert not p.exists()

@@ -93,6 +93,10 @@ class TestNmi:
         with pytest.raises(ValueError):
             nmi([0, 1], [0, 1], "geometric")
 
+    def test_unknown_variant_on_single_class_partitions(self):
+        with pytest.raises(InvalidInputError, match="bogus"):
+            nmi([0, 0, 0], [1, 1, 1], variant="bogus")
+
 
 class TestMisclusteringRate:
     def test_equal_partitions(self):
