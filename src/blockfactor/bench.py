@@ -322,19 +322,8 @@ class ResultRow:
     wall_time_s: float = 0.0
 
 
-CSV_COLUMNS = [
-    "experiment",
-    "sweep",
-    "sweep_value",
-    "method",
-    "seed",
-    "nmi",
-    "misclustering_rate",
-    "iterations",
-    "orthogonality_drift",
-    "residual",
-    "labels",
-]
+# every ResultRow field but wall_time_s, in field order
+CSV_COLUMNS = [name for name in ResultRow.__dataclass_fields__ if name != "wall_time_s"]
 
 
 def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np.ndarray]:
@@ -406,8 +395,8 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy floats too, whose repr names their type
+        return repr(float(value))
     return str(value)
 
 
@@ -416,21 +405,8 @@ def rows_to_csv_text(rows: Sequence[ResultRow]) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [
-                r.experiment,
-                r.sweep,
-                _fmt(r.sweep_value),
-                r.method,
-                r.seed,
-                _fmt(float(r.nmi)),
-                _fmt(float(r.misclustering_rate)),
-                r.iterations,
-                _fmt(r.orthogonality_drift),
-                _fmt(r.residual),
-                "".join(str(int(v)) for v in r.labels),
-            ]
-        )
+        cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
+        writer.writerow(cells + ["".join(str(int(v)) for v in r.labels)])
     return buf.getvalue()
 
 

@@ -86,7 +86,8 @@ class Factorization:
         ||X - H S H^T||^2 = ||X||^2 - 2 <H^T X H, S> + <S, G S G>,  G = H^T H
 
     (S = I for SNMF), which reuses the sweep's X H and costs O(n k^2)
-    beyond it.  Cancellation sets its floor at about 1e-8 * ||X||_F, far
+    beyond it; its k x k products are formed once per sweep and feed the
+    next update too.  Cancellation sets its floor at about 1e-8 * ||X||_F, far
     below the 1e-6 relative residual that exact recovery asks for; use
     ``frobenius_residual`` on dense X where the exact value matters.
     """
@@ -147,20 +148,26 @@ def frobenius_residual(x, h: np.ndarray, s: Optional[np.ndarray] = None) -> floa
     """
     x = as_matrix(x)
     if not isinstance(x, np.ndarray):
-        return _residual_from(float(np.vdot(x.data, x.data)), x @ h, h, s)
+        return _residual_from(float(np.vdot(x.data, x.data)), x @ h, h, s)[0]
     return float(np.linalg.norm(x - (h @ h.T if s is None else h @ s @ h.T)))
 
 
-def _identity_sq(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
+def _shared_products(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray], hxh=None) -> tuple[float, tuple]:
+    """A sweep's k x k products ``p = (G, H^T X H, G S G)``, G = H^T H (the
+    last two None for SNMF, ``s`` None; ``hxh`` is H^T X H if already
+    formed), and the r^2 they give by the identity of ``Factorization``."""
     gram = h.T @ h
     if s is None:
-        return float(x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram))
+        return float(x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)), (gram, None, None)
+    hxh = h.T @ xh if hxh is None else hxh
+    gsg = gram @ s @ gram
     # S need not be symmetric: ||H S H^T||^2 = <S, G S G>, not <S G, (G S)^T>
-    return float(x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram))
+    return float(x_sq - 2.0 * np.vdot(hxh, s) + np.vdot(s, gsg)), (gram, hxh, gsg)
 
 
-def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
-    """``||x - h s h^T||_F`` from ``x_sq = ||x||^2`` and ``xh = x @ h``.
+def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray], hxh=None) -> tuple[float, tuple]:
+    """``(||x - h s h^T||_F, p)`` from ``x_sq = ||x||^2`` and ``xh = x @ h``,
+    where ``p`` is the ``_shared_products`` of h.
 
     A square below zero is cancellation noise and reads as 0; a
     non-finite one stays non-finite so the caller can detect it.  If a
@@ -169,23 +176,23 @@ def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.nd
     of r^2 then scales by exactly 2^-4e, and r by 2^-2e.
     """
     e = 0
-    r_sq = _identity_sq(x_sq, xh, h, s)
+    r_sq, p = _shared_products(x_sq, xh, h, s, hxh)
     if not math.isfinite(r_sq) and math.isfinite(x_sq):
         e = math.frexp(x_sq)[1] // 4
-        r_sq = _identity_sq(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
+        r_sq, _ = _shared_products(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
     if not math.isfinite(r_sq):
-        return math.nan
-    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e)
+        return math.nan, p
+    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e), p
 
 
-def _snmf_update(xh: np.ndarray, h: np.ndarray) -> np.ndarray:
-    denom = h @ (h.T @ h) + _GUARD
+def _snmf_update(xh: np.ndarray, h: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    denom = h @ gram + _GUARD
     return h * (0.5 + 0.5 * (xh / denom))
 
 
 def snmf_step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One damped multiplicative sweep H <- H * (1/2 + (XH) / (2 H H^T H))."""
-    return _snmf_update(x @ h, h)
+    return _snmf_update(x @ h, h, h.T @ h)
 
 
 def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -197,14 +204,12 @@ def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig
 
     which keeps H nonnegative and decreases ||X - H H^T||_F.
     """
-    return _solve("snmf", x, k, h0, cfg, None, lambda xh, h, s: (_snmf_update(xh, h), None))
+    return _solve("snmf", x, k, h0, cfg, lambda xh, h, s, p: (_snmf_update(xh, h, p[0]), None))
 
 
-def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gram = h.T @ h
-    s_num = h.T @ xh
-    s_den = gram @ s @ gram + _GUARD
-    s = s * np.sqrt(s_num / s_den)
+def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray, p: tuple) -> tuple[np.ndarray, np.ndarray]:
+    _, s_num, gsg = p
+    s = s * np.sqrt(s_num / (gsg + _GUARD))
 
     xhs = xh @ s
     h_den = h @ (h.T @ xhs) + _GUARD
@@ -214,12 +219,8 @@ def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndar
 
 def osntf_step(x: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One tri-factorization sweep: the S rule, then the H rule."""
-    return _osntf_update(x @ h, h, s)
-
-
-def _initial_s(xh: np.ndarray, h: np.ndarray) -> np.ndarray:
-    s = h.T @ xh
-    return 0.5 * (s + s.T)
+    xh, gram = x @ h, h.T @ h
+    return _osntf_update(xh, h, s, (gram, h.T @ xh, gram @ s @ gram))
 
 
 def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -233,20 +234,21 @@ def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfi
     Column orthogonality of H is tracked, not enforced; renormalizing
     during the run would break the monotonicity of the updates.
     """
-    return _solve("osntf", x, k, h0, cfg, _initial_s, _osntf_update)
+    return _solve("osntf", x, k, h0, cfg, _osntf_update)
 
 
-def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factorization:
+def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorization:
     """The sweep loop both solvers share.
 
-    ``s0(xh, h)`` gives the starting S, or ``s0`` is None for a solver
-    without one; ``update(xh, h, s)`` returns the next ``(h, s)``,
-    where ``xh = x @ h``.  Each sweep forms ``x @ h`` once, for the new H:
-    it feeds both that sweep's residual and the next update, and no n x n
-    array is built inside the loop; ``x`` may be dense or CSR.  Stops once
-    the relative residual change drops below ``cfg.rel_tol``, unless that
-    change is within the identity's rounding noise (then it keeps going,
-    up to ``cfg.max_iters``), and raises NonFiniteUpdateError as soon as a
+    ``update(xh, h, s, p)`` returns the next ``(h, s)``, where ``xh = x @ h``
+    and ``p`` is the sweep's ``_shared_products``; OSNTF's S starts at
+    h0^T x h0, symmetrized.  Each sweep forms ``x @ h`` once, for the new
+    H, and then its k x k products once: both feed that sweep's residual
+    and the next update, and no n x n array is built inside the loop;
+    ``x`` may be dense or CSR.  Stops once the relative residual change
+    drops below ``cfg.rel_tol``, unless that change is within the
+    identity's rounding noise (then it keeps going, up to
+    ``cfg.max_iters``), and raises NonFiniteUpdateError as soon as a
     residual is not finite.
     """
     x = as_matrix(x)
@@ -259,18 +261,21 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
     # under the noise the trace cannot resolve it and the stop test is off.
     noise_sq = x.shape[0] * k * np.finfo(np.float64).eps * x_sq
     xh = x @ h
-    s = None if s0 is None else s0(xh, h)
-    trace = [_residual_from(x_sq, xh, h, s)]
+    hxh = None if method == "snmf" else h.T @ xh
+    s = None if hxh is None else 0.5 * (hxh + hxh.T)
+    r, p = _residual_from(x_sq, xh, h, s, hxh)
+    trace = [r]
     converged = False
     for _ in range(cfg.max_iters):
-        h, s = update(xh, h, s)
+        h, s = update(xh, h, s, p)
         xh = x @ h
-        trace.append(_residual_from(x_sq, xh, h, s))
-        if not np.isfinite(trace[-1]):
+        r, p = _residual_from(x_sq, xh, h, s)
+        trace.append(r)
+        if not math.isfinite(r):
             raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
         # a resolvable change has trace[-2] > 0
         resolvable = 2.0 * cfg.rel_tol * (trace[-2] * trace[-2]) > noise_sq
-        if resolvable and abs(trace[-2] - trace[-1]) / trace[-2] < cfg.rel_tol:
+        if resolvable and abs(trace[-2] - r) / trace[-2] < cfg.rel_tol:
             converged = True
             break
     return Factorization(
@@ -279,7 +284,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, s0, update) -> Factori
         objective_trace=np.array(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        orthogonality_drift=None if s is None else float(np.linalg.norm(h.T @ h - np.eye(k))),
+        orthogonality_drift=None if s is None else float(np.linalg.norm(p[0] - np.eye(k))),
     )
 
 
@@ -352,29 +357,41 @@ def exactness_diagnostics(
 
 def save_factor_matrices(f: Factorization, path) -> None:
     """Write H (and S when present) as plain text, one matrix row per line."""
-    lines = [f"# h {f.h.shape[0]} {f.h.shape[1]}"]
-    for row in f.h:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    if f.s is not None:
-        lines.append(f"# s {f.s.shape[0]} {f.s.shape[1]}")
-        for row in f.s:
-            lines.append(" ".join(repr(float(v)) for v in row))
+    lines = []
+    for name, m in (("h", f.h), ("s", f.s)):
+        if m is not None:
+            lines.append(f"# {name} {m.shape[0]} {m.shape[1]}")
+            lines += (" ".join(repr(float(v)) for v in row) for row in m)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_factor_matrices(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Inverse of save_factor_matrices; returns (h, s-or-None)."""
-    blocks: dict[str, list[list[float]]] = {}
-    current = None
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            current = line.split()[1]
-            blocks[current] = []
-        else:
-            blocks[current].append([float(tok) for tok in line.split()])
-    h = np.array(blocks["h"])
-    s = np.array(blocks["s"]) if "s" in blocks else None
+    """Inverse of save_factor_matrices; returns (h, s-or-None).
+
+    A malformed file raises InvalidInputError naming the offending line.
+    """
+    blocks: dict[str, tuple] = {}  # name -> (header line number, n, k, rows)
+    block = None
+    for num, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        tokens, where = line.split(), f"{path}, line {num}"
+        if tokens[:1] == ["#"]:
+            if not (len(tokens) == 4 and tokens[1] in ("h", "s") and tokens[1] not in blocks
+                    and tokens[2].isdecimal() and tokens[3].isdecimal()):
+                raise InvalidInputError(f"{where}: expected a new '# h n k' or '# s k k' header, got {line!r}")
+            block = blocks[tokens[1]] = (num, int(tokens[2]), int(tokens[3]), [])
+        elif tokens:
+            if block is None:
+                raise InvalidInputError(f"{where}: a matrix row before any '# h n k' header")
+            if len(tokens) != block[2]:
+                raise InvalidInputError(f"{where}: {len(tokens)} entries where its header says {block[2]}")
+            try:
+                block[3].append([float(tok) for tok in tokens])
+            except ValueError:
+                raise InvalidInputError(f"{where}: non-numeric entry in {line!r}") from None
+    if "h" not in blocks:
+        raise InvalidInputError(f"{path}: no '# h n k' block")
+    for name, (num, n, k, rows) in blocks.items():
+        if len(rows) != n:
+            raise InvalidInputError(f"{path}, line {num}: the '# {name}' block has {len(rows)} rows, not {n}")
+    h, s = (np.array(blocks[b][3]).reshape(blocks[b][1:3]) if b in blocks else None for b in "hs")
     return h, s

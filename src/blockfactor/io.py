@@ -233,8 +233,11 @@ def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
     """One label per line; `name<TAB>label` when node names are given.
 
     A name ``load_labels`` could not read back, one holding a `#`, a tab
-    or a line break, raises InvalidInputError before the file is opened.
+    or a line break, or a ``names`` not one per label, raises
+    InvalidInputError before the file is opened.
     """
+    if names is not None and len(names) != len(labels):
+        raise InvalidInputError(f"names has {len(names)} entries for {len(labels)} labels")
     for name in names if names is not None else ():
         if re.search("[#\t\n\r]", name):
             raise InvalidInputError(f"a label file name cannot hold #, tab or newline: {name!r}")

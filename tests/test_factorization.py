@@ -1,12 +1,20 @@
 """SNMF and OSNTF solvers: fixed points, recovery oracles, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_full_rank_dcsbm, random_full_rank_sbm, topk_by_magnitude
 
-from blockfactor.blockmodels import membership_matrix, population_laplacian
+from blockfactor.blockmodels import (
+    dcsbm_powerlaw_preset,
+    membership_matrix,
+    population_laplacian,
+    sample_graph,
+    sbm_snr_preset,
+)
+from blockfactor.datasets import karate
 from blockfactor.errors import (
     AllZeroRowError,
     BlockfactorError,
@@ -28,9 +36,9 @@ from blockfactor.factorization import (
     snmf,
     snmf_step,
 )
-from blockfactor.graphs import Graph, normalized_laplacian
+from blockfactor.graphs import Graph, as_matrix, largest_connected_component, normalized_laplacian
 from blockfactor.metrics import misclustering_rate
-from blockfactor.spectral import kmeans, nmf_init_from_partition
+from blockfactor.spectral import kmeans, nmf_init_from_partition, regularized_laplacian
 
 
 def random_nonneg_symmetric(rng, n):
@@ -265,14 +273,18 @@ class TestSweepLoop:
         # overflow rescaling: the traces must be bit-identical
         from blockfactor import factorization
 
-        def identity_without_rescaling(x_sq, xh, h, s):
+        def identity_without_rescaling(x_sq, xh, h, s, hxh=None):
             gram = h.T @ h
             if s is None:
                 r_sq = x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)
+                products = (gram, None, None)
             else:
-                r_sq = x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram)
+                hxh = h.T @ xh if hxh is None else hxh
+                gsg = gram @ s @ gram
+                r_sq = x_sq - 2.0 * np.vdot(hxh, s) + np.vdot(s, gsg)
+                products = (gram, hxh, gsg)
             r_sq = float(r_sq)
-            return math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else math.nan
+            return (math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else math.nan), products
 
         rng = np.random.default_rng(11)
         params = generator(rng, n=n, k=3)
@@ -302,6 +314,163 @@ class TestSweepLoop:
             # SNMF cannot fit these indefinite matrices: its residual stays
             # far above the noise, where the stop rule is as before
             assert f.converged and f.iterations == dense_stop
+
+
+# The sweep loop as it was before each sweep's k x k products were formed
+# once and shared by its residual and the next update, kept verbatim as
+# the bit-for-bit reference.  Its inputs are valid, so the checks are left out.
+
+
+def _parent_identity_sq(x_sq, xh, h, s):
+    gram = h.T @ h
+    if s is None:
+        return float(x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram))
+    return float(x_sq - 2.0 * np.vdot(h.T @ xh, s) + np.vdot(s, gram @ s @ gram))
+
+
+def _parent_residual_from(x_sq, xh, h, s):
+    e = 0
+    r_sq = _parent_identity_sq(x_sq, xh, h, s)
+    if not math.isfinite(r_sq) and math.isfinite(x_sq):
+        e = math.frexp(x_sq)[1] // 4
+        r_sq = _parent_identity_sq(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
+    if not math.isfinite(r_sq):
+        return math.nan
+    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e)
+
+
+def _parent_snmf_update(xh, h):
+    denom = h @ (h.T @ h) + 1e-12
+    return h * (0.5 + 0.5 * (xh / denom))
+
+
+def _parent_osntf_update(xh, h, s):
+    gram = h.T @ h
+    s_num = h.T @ xh
+    s_den = gram @ s @ gram + 1e-12
+    s = s * np.sqrt(s_num / s_den)
+
+    xhs = xh @ s
+    h_den = h @ (h.T @ xhs) + 1e-12
+    h = h * np.sqrt(xhs / h_den)
+    return h, s
+
+
+def _parent_initial_s(xh, h):
+    s = h.T @ xh
+    return 0.5 * (s + s.T)
+
+
+def parent_solve(method, x, k, h0, cfg):
+    x = as_matrix(x)
+    entries = x if isinstance(x, np.ndarray) else x.data
+    h = np.array(h0, dtype=np.float64)
+    x_sq = float(np.vdot(entries, entries))
+    noise_sq = x.shape[0] * k * np.finfo(np.float64).eps * x_sq
+    if method == "snmf":
+        s0, update = None, lambda xh, h, s: (_parent_snmf_update(xh, h), None)
+    else:
+        s0, update = _parent_initial_s, _parent_osntf_update
+    xh = x @ h
+    s = None if s0 is None else s0(xh, h)
+    trace = [_parent_residual_from(x_sq, xh, h, s)]
+    converged = False
+    for _ in range(cfg.max_iters):
+        h, s = update(xh, h, s)
+        xh = x @ h
+        trace.append(_parent_residual_from(x_sq, xh, h, s))
+        if not np.isfinite(trace[-1]):
+            raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
+        resolvable = 2.0 * cfg.rel_tol * (trace[-2] * trace[-2]) > noise_sq
+        if resolvable and abs(trace[-2] - trace[-1]) / trace[-2] < cfg.rel_tol:
+            converged = True
+            break
+    return Factorization(
+        h=h,
+        s=s,
+        objective_trace=np.array(trace),
+        iterations=len(trace) - 1,
+        converged=converged,
+        orthogonality_drift=None if s is None else float(np.linalg.norm(h.T @ h - np.eye(k))),
+    )
+
+
+def assert_same_as_parent(method, x, k, h0, cfg):
+    """The solver's Factorization equals the reference's, or both raise the
+    same error; returns the Factorization or the error."""
+    try:
+        ref = parent_solve(method, x, k, h0, cfg)
+    except NonFiniteUpdateError as exc:
+        with pytest.raises(NonFiniteUpdateError, match=str(exc)) as raised:
+            (snmf if method == "snmf" else osntf)(x, k, h0, cfg)
+        return raised.value
+    f = (snmf if method == "snmf" else osntf)(x, k, h0, cfg)
+    assert np.array_equal(f.h, ref.h)
+    assert (f.s is None) == (ref.s is None) and (f.s is None or np.array_equal(f.s, ref.s))
+    assert np.array_equal(f.objective_trace, ref.objective_trace)
+    assert f.iterations == ref.iterations and f.converged == ref.converged
+    assert f.orthogonality_drift == ref.orthogonality_drift
+    return f
+
+
+def sampled_component(model, seed):
+    n, degree = 200, 12.0
+    if model == "sbm":
+        params = sbm_snr_preset(n, 3, 3.0, degree)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # DCSBM clipping notes
+            params = dcsbm_powerlaw_preset(n, 3, 3.0, degree, 2.5, seed=[seed, 0])
+    g, _ = largest_connected_component(sample_graph(params, seed=[seed, 1]))
+    return g, 3
+
+
+GRAPH_CASES = {
+    "karate": lambda: (karate()[0], 2),
+    "sbm": lambda: sampled_component("sbm", 1),
+    "dcsbm": lambda: sampled_component("dcsbm", 2),
+}
+
+
+class TestSharedProducts:
+    """The solvers against a frozen copy of the loop that formed each k x k
+    product afresh for the residual and again for the update: h, s, the
+    trace, the counts and the drift must be bit for bit the same."""
+
+    @pytest.mark.parametrize("n", [60, 300])
+    @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-6])
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_population_instances(self, n, generator, rel_tol, method):
+        x = population_laplacian(generator(np.random.default_rng(11), n=n, k=3))
+        h0 = nmf_init_from_partition(kmeans(topk_by_magnitude(x, 3), 3, seed=0), 3, offset=0.02)
+        cfg = SolverConfig(max_iters=12000 if n == 60 else 3000, rel_tol=rel_tol)
+        assert_same_as_parent(method, x, 3, h0, cfg)
+
+    @pytest.mark.parametrize("graph", sorted(GRAPH_CASES))
+    @pytest.mark.parametrize("matrix", ["L", "L_tau", "A"])
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_csr_graph_matrices(self, graph, matrix, method):
+        g, k = GRAPH_CASES[graph]()
+        x = {"L": normalized_laplacian, "L_tau": regularized_laplacian, "A": lambda g: g.adjacency}[matrix](g)
+        assert x.format == "csr"
+        rng = np.random.default_rng(5)
+        h0 = nmf_init_from_partition(rng.integers(0, k, size=g.n), k)
+        for cfg in (SolverConfig(), SolverConfig(max_iters=300, rel_tol=0.0)):
+            assert_same_as_parent(method, x, k, h0, cfg)
+
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_overflowing_starts(self, method):
+        # the 1e77 start of TestSweepLoop, whose first residual is rescaled
+        # (OSNTF then overflows), and an H H^T that overflows at once
+        with np.errstate(all="ignore"):
+            f = assert_same_as_parent(method, 3e153 * np.ones((4, 4)), 2, 1e77 * np.ones((4, 2)), SolverConfig())
+            if method == "snmf":
+                assert f.objective_trace[0] > 1.4e154
+            else:
+                assert isinstance(f, NonFiniteUpdateError)
+            f = assert_same_as_parent(method, np.eye(4) + 0.5, 2, np.full((4, 2), 1e160), SolverConfig(max_iters=50))
+            assert isinstance(f, NonFiniteUpdateError)
 
 
 class TestInputChecks:
@@ -446,6 +615,26 @@ class TestSerialization:
         h, s = load_factor_matrices(path)
         np.testing.assert_array_equal(h, f.h)
         np.testing.assert_array_equal(s, f.s)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1 2\n# h 1 2\n", "line 1: a matrix row before any"),
+            ("# s 1 1\n1\n", "no '# h n k' block"),
+            ("# h 2 2\n1 2\n3\n", "line 3: 1 entries where its header says 2"),
+            ("# h 1 2\n1 x\n", "line 2: non-numeric entry"),
+            ("# h 3 2\n1 2\n3 4\n# s 2 2\n1 0\n0 1\n", "line 1: the '# h' block has 2 rows, not 3"),
+            ("# h 1 2\n1 2\n# s 2 2\n1 0\n", "line 3: the '# s' block has 1 rows, not 2"),
+            ("# h 1 3\n1 2\n", "line 2: 2 entries where its header says 3"),
+            ("# h two 2\n", "line 1: expected a new '# h n k'"),
+            ("# h 1 1\n1\n# h 1 1\n2\n", "line 3: expected a new '# h n k'"),
+        ],
+    )
+    def test_malformed_file_is_a_typed_error(self, tmp_path, text, where):
+        path = tmp_path / "factors.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=where):
+            load_factor_matrices(path)
 
     def test_snmf_round_trip_without_s(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -190,3 +190,10 @@ class TestLabelsFile:
         with pytest.raises(InvalidInputError, match="label file name cannot hold"):
             save_labels(np.array([0, 1]), p, names=["ok", name])
         assert not p.exists()
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
+    def test_names_not_one_per_label_rejected_before_writing(self, tmp_path, names):
+        p = tmp_path / "labels.txt"
+        with pytest.raises(InvalidInputError, match=f"names has {len(names)} entries for 3 labels"):
+            save_labels(np.array([0, 1, 1]), p, names=names)
+        assert not p.exists()
