@@ -2,20 +2,21 @@
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .errors import (
     DcsbmEntryOutOfRangeError,
     InfeasibleDegreeError,
+    InvalidInputError,
     ZeroExpectedDegreeError,
 )
 from .graphs import Graph
 
 __all__ = [
+    "BlockModel",
     "SbmParams",
     "DcsbmParams",
     "block_sizes",
@@ -32,42 +33,38 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=None) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
-def _check_membership(z: np.ndarray, k: int):
-    if z.ndim != 1:
-        raise ValueError("membership vector must be one-dimensional")
-    if z.min() < 0 or z.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    counts = np.bincount(z, minlength=k)
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"community {empty} has no node")
-
-
 @dataclass(frozen=True)
-class SbmParams:
-    """Stochastic block model: memberships z and K×K probability matrix b."""
+class BlockModel:
+    """Memberships z and block rates C = ``rates``, with node weights
+    t = ``weights``: population entry (i, j) is C[z_i, z_j] * (t_i * t_j),
+    and the SBM is the DCSBM with every t_i = 1 (Karrer & Newman 2011).
+
+    The constructor freezes the fields and checks that C is square,
+    symmetric and nonnegative, that the labels lie in [0, K) and that no
+    block is empty; subclasses add their own checks.  Each raises
+    InvalidInputError.
+    """
 
     z: np.ndarray
-    b: np.ndarray
 
     def __post_init__(self):
-        z = _frozen_array(self.z, dtype=np.int64)
-        b = _frozen_array(self.b, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("b must be square")
-        if not np.array_equal(b, b.T):
-            raise ValueError("b must be symmetric")
-        if b.min() < 0 or b.max() > 1:
-            raise ValueError("b entries must be probabilities in [0, 1]")
-        _check_membership(z, b.shape[0])
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "b", b)
+        for f in fields(self):
+            a = np.array(getattr(self, f.name), dtype=np.int64 if f.name == "z" else np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
+        c, z, name = self.rates, self.z, type(self).__name__
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise InvalidInputError(f"{name} rates must be a square matrix, got shape {c.shape}")
+        if not np.array_equal(c, c.T):
+            raise InvalidInputError(f"{name} rates must be symmetric")
+        if (c < 0).any():
+            raise InvalidInputError(f"{name} rates must be nonnegative")
+        if z.ndim != 1:
+            raise InvalidInputError("membership vector must be one-dimensional")
+        if ((z < 0) | (z >= self.k)).any():
+            raise InvalidInputError(f"labels must lie in [0, {self.k})")
+        if (empty := np.flatnonzero(np.bincount(z, minlength=self.k) == 0)).size:
+            raise InvalidInputError(f"community {int(empty[0])} has no node")
 
     @property
     def n(self) -> int:
@@ -75,56 +72,58 @@ class SbmParams:
 
     @property
     def k(self) -> int:
-        return self.b.shape[0]
+        return self.rates.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The node weights t; all 1 unless a subclass says otherwise."""
+        return np.ones(self.n)
 
 
 @dataclass(frozen=True)
-class DcsbmParams:
+class SbmParams(BlockModel):
+    """Stochastic block model: memberships z and K×K probability matrix b."""
+
+    b: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.b > 1).any():
+            raise InvalidInputError("b entries must be probabilities in [0, 1]")
+
+    @property
+    def rates(self) -> np.ndarray:
+        return self.b
+
+
+@dataclass(frozen=True)
+class DcsbmParams(BlockModel):
     """Degree-corrected block model: z, rate matrix b_prime, degree weights theta.
 
     Identifiability follows the convention that theta sums to 1 within
     each block, which the constructor enforces to 1e-8.
     """
 
-    z: np.ndarray
     b_prime: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
-        z = _frozen_array(self.z, dtype=np.int64)
-        b = _frozen_array(self.b_prime, dtype=np.float64)
-        theta = _frozen_array(self.theta, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("b_prime must be square")
-        if not np.array_equal(b, b.T):
-            raise ValueError("b_prime must be symmetric")
-        if b.min() < 0:
-            raise ValueError("b_prime entries must be nonnegative")
-        _check_membership(z, b.shape[0])
-        if theta.shape != z.shape:
-            raise ValueError("theta must have one entry per node")
-        if theta.min() <= 0:
-            raise ValueError("theta entries must be strictly positive")
-        for q in range(b.shape[0]):
-            s = theta[z == q].sum()
-            if abs(s - 1.0) > 1e-8:
-                raise ValueError(
-                    f"theta must sum to 1 within each block; block {q} sums to {s!r}"
-                )
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "b_prime", b)
-        object.__setattr__(self, "theta", theta)
+        super().__post_init__()
+        if self.theta.shape != self.z.shape:
+            raise InvalidInputError("theta must have one entry per node")
+        if not (self.theta > 0).all():
+            raise InvalidInputError("theta entries must be strictly positive")
+        sums = np.bincount(self.z, weights=self.theta, minlength=self.k)
+        if not (np.abs(sums - 1.0) <= 1e-8).all():
+            raise InvalidInputError(f"theta must sum to 1 within each block, not {sums.tolist()}")
 
     @property
-    def n(self) -> int:
-        return self.z.shape[0]
+    def rates(self) -> np.ndarray:
+        return self.b_prime
 
     @property
-    def k(self) -> int:
-        return self.b_prime.shape[0]
-
-
-BlockModel = Union[SbmParams, DcsbmParams]
+    def weights(self) -> np.ndarray:
+        return self.theta
 
 
 def block_sizes(p: BlockModel) -> np.ndarray:
@@ -138,24 +137,14 @@ def membership_matrix(p: BlockModel) -> np.ndarray:
     return m
 
 
-def _rates(p: BlockModel) -> tuple[np.ndarray, np.ndarray]:
-    """Block rates C and node weights t with population entries C[z_i, z_j] * (t_i * t_j).
-
-    The SBM is the DCSBM with every t_i = 1.
-    """
-    if isinstance(p, SbmParams):
-        return p.b, np.ones(p.n)
-    return p.b_prime, p.theta
-
-
 def population_adjacency(p: BlockModel, check_probabilities: bool = False) -> np.ndarray:
     """Expected adjacency matrix C[z_i, z_j] * (t_i * t_j) of the model (see
-    ``_rates``); exactly symmetric, rank <= K.
+    ``BlockModel``); exactly symmetric, rank <= K.
 
     DCSBM entries can exceed 1; pass check_probabilities=True to reject
     such parameterizations when probability semantics are required.
     """
-    c, t = _rates(p)
+    c, t = p.rates, p.weights
     pop = c[p.z[:, None], p.z[None, :]] * (t[:, None] * t[None, :])
     if check_probabilities and pop.max() > 1.0:
         i, j = np.unravel_index(int(np.argmax(pop)), pop.shape)
@@ -165,27 +154,31 @@ def population_adjacency(p: BlockModel, check_probabilities: bool = False) -> np
     return pop
 
 
+def _block_degrees(p: BlockModel) -> np.ndarray:
+    """deg = C @ (t summed over each block); node i's expected degree is t_i * deg[z_i]."""
+    return p.rates @ np.bincount(p.z, weights=p.weights, minlength=p.k)
+
+
 def expected_degrees(p: BlockModel) -> np.ndarray:
-    return population_adjacency(p).sum(axis=1)
+    """Each node's expected degree t_i * deg[z_i] (see ``_block_degrees``), in O(n + K^2)."""
+    return p.weights * _block_degrees(p)[p.z]
 
 
 def population_laplacian(p: BlockModel) -> np.ndarray:
     """Population normalized Laplacian, by one closed form for both models:
 
-        L_ij = C[z_i, z_j] / sqrt(deg_{z_i} * deg_{z_j}) * sqrt(t_i) * sqrt(t_j),
-        deg = C @ bincount(z, weights=t)
+        L_ij = C[z_i, z_j] / sqrt(deg_{z_i} * deg_{z_j}) * sqrt(t_i) * sqrt(t_j)
 
-    with C and t from ``_rates``.  Node i's expected degree is t_i * deg_{z_i},
-    so this is the population adjacency normalized by the expected degrees,
-    whatever theta sums to in each block.  The first node of zero expected
-    degree raises ZeroExpectedDegreeError.
+    with C, t and deg as in ``_block_degrees``.  This is the population
+    adjacency normalized by the expected degrees t_i * deg_{z_i}, whatever
+    theta sums to in each block.  The first node of zero expected degree
+    raises ZeroExpectedDegreeError.
     """
-    c, t = _rates(p)
-    deg = c @ np.bincount(p.z, weights=t, minlength=p.k)
+    deg = _block_degrees(p)
     if (zero := np.flatnonzero(deg[p.z] <= 0)).size:
         raise ZeroExpectedDegreeError(int(zero[0]))
-    inv, root_t = 1.0 / np.sqrt(deg), np.sqrt(t)
-    block = inv[:, None] * c * inv[None, :]
+    inv, root_t = 1.0 / np.sqrt(deg), np.sqrt(p.weights)
+    block = inv[:, None] * p.rates * inv[None, :]
     return block[p.z[:, None], p.z[None, :]] * (root_t[:, None] * root_t[None, :])
 
 
@@ -294,7 +287,7 @@ def sample_graph(p: BlockModel, seed) -> Graph:
     DCSBM entries above 1 are clipped to 1; a warning reports the
     fraction of the n^2 population entries that were.
     """
-    rates, t = _rates(p)
+    rates, t = p.rates, p.weights
     clipped = _clipped_entries(p.z, t, rates)
     if clipped:
         warnings.warn(
@@ -339,7 +332,7 @@ def sbm_snr_preset(n: int, k: int, snr: float, target_avg_degree: float) -> SbmP
     linear in the scale.
     """
     if snr < 1:
-        raise ValueError("snr must be >= 1 (diagonal at least off-diagonal)")
+        raise InvalidInputError("snr must be >= 1 (diagonal at least off-diagonal)")
     z = _balanced_labels(n, k)
     sizes = np.bincount(z, minlength=k).astype(np.float64)
     pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
@@ -383,9 +376,9 @@ def dcsbm_powerlaw_preset(
     Deterministic given the seed.
     """
     if beta <= 2:
-        raise ValueError("beta must exceed 2 for a finite-mean power law")
+        raise InvalidInputError("beta must exceed 2 for a finite-mean power law")
     if snr < 1:
-        raise ValueError("snr must be >= 1")
+        raise InvalidInputError("snr must be >= 1")
     if target_avg_degree >= n:
         raise InfeasibleDegreeError(
             f"target degree {target_avg_degree} unreachable with {n} nodes"
@@ -415,28 +408,21 @@ def dcsbm_powerlaw_preset(
     return DcsbmParams(z=z, b_prime=hi * pattern, theta=theta)
 
 
+_MODELS = {"sbm": SbmParams, "dcsbm": DcsbmParams}
+
+
 def save_params(p: BlockModel, path) -> None:
-    """Write model parameters as JSON."""
-    if isinstance(p, SbmParams):
-        doc = {"model": "sbm", "z": p.z.tolist(), "b": p.b.tolist()}
-    else:
-        doc = {
-            "model": "dcsbm",
-            "z": p.z.tolist(),
-            "b_prime": p.b_prime.tolist(),
-            "theta": p.theta.tolist(),
-        }
+    """Write model parameters as JSON: the model's name, then each field."""
+    name = next(name for name, cls in _MODELS.items() if type(p) is cls)
+    doc = {"model": name} | {f.name: getattr(p, f.name).tolist() for f in fields(p)}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_params(path) -> BlockModel:
-    doc = json.loads(Path(path).read_text())
-    if doc["model"] == "sbm":
-        return SbmParams(z=np.array(doc["z"]), b=np.array(doc["b"]))
-    if doc["model"] == "dcsbm":
-        return DcsbmParams(
-            z=np.array(doc["z"]),
-            b_prime=np.array(doc["b_prime"]),
-            theta=np.array(doc["theta"]),
-        )
-    raise ValueError(f"unknown model {doc['model']!r}")
+    """Inverse of ``save_params``.  A file that is not a JSON object naming a
+    known model and exactly its valid fields raises InvalidInputError."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        return _MODELS[doc.pop("model")](**doc)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: not a block-model file ({type(exc).__name__}: {exc})") from None

@@ -6,13 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingFixtureError
+from .errors import InvalidInputError, MissingFixtureError
 from .graphs import Graph, induced_subgraph, largest_connected_component, symmetrize_directed
 from .io import load_gml, load_labels, read_edge_pairs
 
 __all__ = ["data_dir", "karate", "dolphins", "polblogs", "load_dataset", "DATASETS"]
-
-DATASETS = ("karate", "dolphins", "polblogs")
 
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
@@ -71,22 +69,20 @@ def polblogs() -> tuple[Graph, np.ndarray]:
     Built from the raw directed edge list plus per-node 0/1 leanings; an
     edge joins two blogs if a hyperlink exists in either direction.
     """
-    edges_path = _fixture_path(
-        "polblogs_edges.txt",
-        "Run scripts/fetch_polblogs.py on a machine with internet access.",
-    )
-    labels_path = _fixture_path(
-        "polblogs_labels.txt",
-        "Run scripts/fetch_polblogs.py on a machine with internet access.",
-    )
+    hint = "Run scripts/fetch_polblogs.py on a machine with internet access."
+    edges_path, labels_path = (_fixture_path(f"polblogs_{part}.txt", hint) for part in ("edges", "labels"))
     labels = load_labels(labels_path)
     g = symmetrize_directed(read_edge_pairs(edges_path), n=labels.shape[0])
     g_lcc, lcc_map = largest_connected_component(g)
     return g_lcc, labels[list(lcc_map)]
 
 
+_LOADERS = {"karate": karate, "dolphins": dolphins, "polblogs": polblogs}
+DATASETS = tuple(_LOADERS)
+
+
 def load_dataset(name: str) -> tuple[Graph, np.ndarray]:
     """Dataset by name, preprocessed the way the benchmark tables expect."""
-    if name not in DATASETS:
-        raise ValueError(f"unknown dataset {name!r}; choose from {DATASETS}")
-    return {"karate": karate, "dolphins": dolphins, "polblogs": polblogs}[name]()
+    if name not in _LOADERS:
+        raise InvalidInputError(f"unknown dataset {name!r}; choose from {DATASETS}")
+    return _LOADERS[name]()

@@ -61,7 +61,8 @@ class SolverConfig:
 
     max_iters: hard cap on update sweeps, a positive integer.
     rel_tol: stop when the relative objective change falls below this,
-        provided the residual trace can resolve a change that small.
+        provided the residual trace can resolve a change that small, or
+        when the residual reads exactly 0 twice; 0 never stops early.
     """
 
     max_iters: int = 500
@@ -246,10 +247,9 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
     H, and then its k x k products once: both feed that sweep's residual
     and the next update, and no n x n array is built inside the loop;
     ``x`` may be dense or CSR.  Stops once the relative residual change
-    drops below ``cfg.rel_tol``, unless that change is within the
-    identity's rounding noise (then it keeps going, up to
-    ``cfg.max_iters``), and raises NonFiniteUpdateError as soon as a
-    residual is not finite.
+    drops below ``cfg.rel_tol`` outside the identity's rounding noise, or
+    two residuals in a row are exactly 0 (never when ``cfg.rel_tol`` is
+    0), and raises NonFiniteUpdateError as soon as one is not finite.
     """
     x = as_matrix(x)
     h = np.array(h0, dtype=np.float64)
@@ -273,9 +273,10 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
         trace.append(r)
         if not math.isfinite(r):
             raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
-        # a resolvable change has trace[-2] > 0
+        # a resolvable change has trace[-2] > 0; two exact zeros are a fixed point
         resolvable = 2.0 * cfg.rel_tol * (trace[-2] * trace[-2]) > noise_sq
-        if resolvable and abs(trace[-2] - r) / trace[-2] < cfg.rel_tol:
+        fixed = cfg.rel_tol > 0 and trace[-2] == r == 0
+        if fixed or (resolvable and abs(trace[-2] - r) / trace[-2] < cfg.rel_tol):
             converged = True
             break
     return Factorization(

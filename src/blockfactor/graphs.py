@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphParseError, IsolatedNodeError
+from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError
 
 __all__ = [
     "Graph",
@@ -33,7 +33,7 @@ def _pair_array(pairs) -> np.ndarray:
     if e.size == 0:
         return e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
-        raise ValueError(f"edges must be (i, j) pairs, got shape {e.shape}")
+        raise InvalidInputError(f"edges must be (i, j) pairs, got shape {e.shape}")
     return e
 
 
@@ -44,7 +44,7 @@ MAX_NODES = isqrt(np.iinfo(np.int64).max)
 def _canonical_edges(e: np.ndarray, n: int) -> np.ndarray:
     """Loop-free in-range pairs as a sorted, deduplicated (m, 2) array with i < j."""
     if n > MAX_NODES:
-        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_NODES} nodes")
+        raise InvalidInputError(f"n={n} exceeds the supported maximum of {MAX_NODES} nodes")
     key = _sorted_unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
     return np.column_stack(np.divmod(key, n))
 
@@ -74,17 +74,17 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("node count must be nonnegative")
+            raise InvalidInputError("node count must be nonnegative")
         e = _pair_array(self.edge_array)  # a fresh copy: the caller's array is never frozen
         i, j = e.T
         bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
         if bad.size:
             b = bad[0]
-            raise ValueError(f"edge ({i[b]}, {j[b]}) is not canonical for n={self.n}")
+            raise InvalidInputError(f"edge ({i[b]}, {j[b]}) is not canonical for n={self.n}")
         if ((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))).any():
-            raise ValueError("edges must be sorted and unique")
+            raise InvalidInputError("edges must be sorted and unique")
         if self.node_names is not None and len(self.node_names) != self.n:
-            raise ValueError("node_names length must equal n")
+            raise InvalidInputError("node_names length must equal n")
         e.setflags(write=False)
         object.__setattr__(self, "edge_array", e)
 
@@ -119,8 +119,8 @@ class Graph:
         if bad.size:
             i, j = e[bad[0]].tolist()
             if i == j:
-                raise ValueError(f"self loop on node {i} not allowed")
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+                raise InvalidInputError(f"self loop on node {i} not allowed")
+            raise InvalidInputError(f"edge ({i}, {j}) out of range for n={n}")
         names = tuple(node_names) if node_names is not None else None
         return cls(n, _canonical_edges(e, n), names)
 
@@ -239,9 +239,9 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> tuple[Graph, dict[int, i
     """Subgraph on the given nodes (kept in the given order) plus old->new map."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
-        raise ValueError(f"node list has ids outside [0, {g.n})")
+        raise InvalidInputError(f"node list has ids outside [0, {g.n})")
     if _sorted_unique(nodes).size != nodes.size:
-        raise ValueError("node list contains duplicates")
+        raise InvalidInputError("node list contains duplicates")
     new = np.full(g.n, -1)
     new[nodes] = np.arange(nodes.size)
     e = new[g.edge_array]

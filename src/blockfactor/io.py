@@ -6,7 +6,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DanglingEdgeError, GraphParseError, InvalidInputError
+from .errors import DanglingEdgeError, GraphParseError, InvalidInputError, is_integer
 from .graphs import MAX_NODES, Graph, symmetrize_directed
 
 __all__ = [
@@ -25,10 +25,19 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def _content_lines(fh):
-    """(line number, text) of each line of ``fh`` with any `#` comment cut
+def _utf8_lines(path: PathLike):
+    """The lines of a text file; bytes that are not UTF-8 raise GraphParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _content_lines(path: PathLike):
+    """(line number, text) of each line of ``path`` with any `#` comment cut
     off and surrounding whitespace stripped; blank results are skipped."""
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in enumerate(_utf8_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -43,20 +52,17 @@ def read_edge_pairs(path: PathLike) -> np.ndarray:
     number.  No symmetrization or self-loop filtering happens here.
     """
     ids = []
-    with open(path) as fh:
-        for lineno, line in _content_lines(fh):
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphParseError(
-                    f"expected two integers, got {len(parts)} tokens", line=lineno
-                )
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"non-integer token in {parts!r}", line=lineno)
-            if not (0 <= a < MAX_NODES and 0 <= b < MAX_NODES):
-                raise GraphParseError(f"node id in ({a}, {b}) not in [0, {MAX_NODES})", line=lineno)
-            ids += (a, b)
+    for lineno, line in _content_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(f"expected two integers, got {len(parts)} tokens", line=lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"non-integer token in {parts!r}", line=lineno)
+        if not (0 <= a < MAX_NODES and 0 <= b < MAX_NODES):
+            raise GraphParseError(f"node id in ({a}, {b}) not in [0, {MAX_NODES})", line=lineno)
+        ids += (a, b)
     return np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
@@ -76,23 +82,29 @@ def save_edgelist(g: Graph, path: PathLike) -> None:
             fh.write(f"{i} {j}\n")
 
 
-_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]"]+')
+# a string may span lines; a lone '"' is one that is never closed
+_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]"]+|"')
 
 
 def _tokenize_gml(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _GML_TOKEN.finditer(line):
-            tokens.append((m.group(0), lineno))
+    tokens, lineno, last = [], 1, 0
+    for m in _GML_TOKEN.finditer(text):
+        lineno += text.count("\n", last, m.start())
+        last, tok = m.start(), m.group(0)
+        if tok == '"':
+            raise GraphParseError("string has no closing '\"'", line=lineno)
+        tokens.append((tok, lineno))
     return tokens
 
 
-def _parse_gml_list(tokens, pos):
-    """Parse key/value pairs until the closing bracket; returns (items, pos)."""
+def _parse_gml_list(tokens, pos, opened=None):
+    """Key/value pairs up to the ``]`` closing the ``[`` on line ``opened`` (or the end); returns (items, pos)."""
     items = []
     while pos < len(tokens):
         tok, lineno = tokens[pos]
         if tok == "]":
+            if opened is None:
+                raise GraphParseError("']' closes no '['", line=lineno)
             return items, pos + 1
         key = tok
         pos += 1
@@ -100,7 +112,7 @@ def _parse_gml_list(tokens, pos):
             raise GraphParseError(f"key {key!r} has no value", line=lineno)
         val, vline = tokens[pos]
         if val == "[":
-            sub, pos = _parse_gml_list(tokens, pos + 1)
+            sub, pos = _parse_gml_list(tokens, pos + 1, opened=vline)
             items.append((key, sub, lineno))
         elif val == "]":
             raise GraphParseError(f"key {key!r} has no value", line=vline)
@@ -117,7 +129,18 @@ def _parse_gml_list(tokens, pos):
                         parsed = val
             items.append((key, parsed, lineno))
             pos += 1
+    if opened is not None:
+        raise GraphParseError("'[' is never closed", line=opened)
     return items, pos
+
+
+def _gml_fields(block, ints) -> dict:
+    """A parsed GML block's scalar fields, where each key in ``ints`` must hold a 64-bit integer."""
+    scalars = [(key, val, lineno) for key, val, lineno in block if not isinstance(val, list)]
+    for key, val, lineno in scalars:
+        if key in ints and not (is_integer(val) and -(2**63) <= val < 2**63):
+            raise GraphParseError(f"{key} must be a 64-bit integer, got {val!r}", line=lineno)
+    return {key: val for key, val, _ in scalars}
 
 
 def parse_gml_items(text: str) -> tuple[list[dict], list[tuple[int, int]], bool]:
@@ -125,7 +148,8 @@ def parse_gml_items(text: str) -> tuple[list[dict], list[tuple[int, int]], bool]
     order, re-indexed 0..n-1), and the directed flag.
 
     Unknown keys inside node/edge blocks are kept in the field dicts;
-    unknown keys elsewhere are ignored.
+    unknown keys elsewhere are ignored.  Malformed text, such as an unclosed
+    ``[`` or string or a non-integer id, raises GraphParseError with its line.
     """
     tokens = _tokenize_gml(text)
     items, _ = _parse_gml_list(tokens, 0)
@@ -136,25 +160,23 @@ def parse_gml_items(text: str) -> tuple[list[dict], list[tuple[int, int]], bool]
     id_to_index: dict[int, int] = {}
     nodes: list[dict] = []
     raw_edges: list[tuple[int, int, int]] = []
-    directed = False
 
+    directed = bool(_gml_fields(graph_item, ("directed",)).get("directed", 0))
     for key, val, lineno in graph_item:
-        if key == "directed" and not isinstance(val, list):
-            directed = bool(int(val))
-        elif key == "node" and isinstance(val, list):
-            fields = {k: v for k, v, _ in val if not isinstance(v, list)}
+        if key == "node" and isinstance(val, list):
+            fields = _gml_fields(val, ("id", "value"))
             if "id" not in fields:
                 raise GraphParseError("node block without id", line=lineno)
-            nid = int(fields["id"])
+            nid = fields["id"]
             if nid in id_to_index:
                 raise GraphParseError(f"duplicate node id {nid}", line=lineno)
             id_to_index[nid] = len(id_to_index)
             nodes.append(fields)
         elif key == "edge" and isinstance(val, list):
-            fields = {k: v for k, v, _ in val if not isinstance(v, list)}
+            fields = _gml_fields(val, ("source", "target"))
             if "source" not in fields or "target" not in fields:
                 raise GraphParseError("edge block without source/target", line=lineno)
-            raw_edges.append((int(fields["source"]), int(fields["target"]), lineno))
+            raw_edges.append((fields["source"], fields["target"], lineno))
 
     pairs = []
     for src, tgt, lineno in raw_edges:
@@ -179,16 +201,12 @@ def parse_gml(text: str) -> tuple[Graph, Optional[np.ndarray]]:
     if any("label" in f for f in nodes):
         names = tuple(str(f.get("label", f["id"])) for f in nodes)
         g = Graph(g.n, g.edge_array, names)
-    if any("value" in f for f in nodes):
-        labels = np.array([int(f.get("value", -1)) for f in nodes], dtype=np.int64)
-    else:
-        labels = None
-    return g, labels
+    labels = np.array([f.get("value", -1) for f in nodes], dtype=np.int64)
+    return g, labels if any("value" in f for f in nodes) else None
 
 
 def load_gml(path: PathLike) -> tuple[Graph, Optional[np.ndarray]]:
-    with open(path) as fh:
-        return parse_gml(fh.read())
+    return parse_gml("".join(_utf8_lines(path)))
 
 
 def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> None:
@@ -207,25 +225,24 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
             parts.append(f"value {int(labels[i])}")
         if g.node_names is not None:
             label = f'"{g.node_names[i]}"'
-            if [tok for tok, _ in _tokenize_gml(label)] != [label]:
+            if '"' in g.node_names[i] or label.splitlines() != [label]:
                 raise InvalidInputError(f"a GML string cannot hold '\"' or a line break: {label!r}")
             parts.append(f"label {label}")
         lines.append(" ".join(parts) + " ]")
     for i, j in g.edge_array.tolist():
         lines.append(f"  edge [ source {i} target {j} ]")
     lines.append("]")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_labels(path: PathLike) -> np.ndarray:
     """Integer labels, one per line, `#` comments allowed."""
     out = []
-    with open(path) as fh:
-        for lineno, line in _content_lines(fh):
-            try:
-                out.append(int(line.split("\t")[-1]))
-            except ValueError:
-                raise GraphParseError(f"non-integer label {line!r}", line=lineno)
+    for lineno, line in _content_lines(path):
+        try:
+            out.append(np.int64(int(line.split("\t")[-1])))
+        except (ValueError, OverflowError):
+            raise GraphParseError(f"label {line!r} is not a 64-bit integer", line=lineno)
     return np.array(out, dtype=np.int64)
 
 
@@ -241,7 +258,7 @@ def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
     for name in names if names is not None else ():
         if re.search("[#\t\n\r]", name):
             raise InvalidInputError(f"a label file name cannot hold #, tab or newline: {name!r}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for i, lab in enumerate(labels):
             fh.write(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n")
 

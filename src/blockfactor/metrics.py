@@ -20,9 +20,9 @@ MAX_EXACT_LABELS = 8
 def _as_labels(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 1:
-        raise ValueError("partition must be a one-dimensional label vector")
+        raise InvalidInputError("partition must be a one-dimensional label vector")
     if a.size and a.min() < 0:
-        raise ValueError("labels must be nonnegative")
+        raise InvalidInputError("labels must be nonnegative")
     return a
 
 

@@ -1,11 +1,14 @@
 """Block-model parameterizations, population matrices, sampling and presets."""
 
+import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from blockfactor.blockmodels import (
+    BlockModel,
     DcsbmParams,
     SbmParams,
     block_sizes,
@@ -29,6 +32,7 @@ from blockfactor.blockmodels import (  # the O(n log n) and unranking helpers
 from blockfactor.errors import (
     DcsbmEntryOutOfRangeError,
     InfeasibleDegreeError,
+    InvalidInputError,
     ZeroExpectedDegreeError,
 )
 from blockfactor.graphs import degrees
@@ -87,6 +91,52 @@ class TestParamsValidation:
             q = load_params(path)
             assert type(q) is type(p)
             assert np.array_equal(q.z, p.z)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SbmParams(z=[0, 1], b=[0.5, 0.5]),
+            lambda: SbmParams(z=[0, 1], b=[[0.5, 0.1], [0.2, 0.5]]),
+            lambda: SbmParams(z=[0, 1], b=[[0.5, -0.1], [-0.1, 0.5]]),
+            lambda: SbmParams(z=[0, 1], b=[[1.5, 0.1], [0.1, 0.5]]),
+            lambda: SbmParams(z=[[0, 1]], b=np.eye(2) * 0.5),
+            lambda: SbmParams(z=[0, 2], b=np.eye(2) * 0.5),
+            lambda: SbmParams(z=[0, -1], b=np.eye(2) * 0.5),
+            lambda: SbmParams(z=[0, 0], b=np.eye(2) * 0.5),
+            lambda: DcsbmParams(z=[0, 1], b_prime=[[1.0, np.nan], [np.nan, 1.0]], theta=[1.0, 1.0]),
+            lambda: DcsbmParams(z=[0, 1], b_prime=np.eye(2), theta=[1.0]),
+            lambda: DcsbmParams(z=[0, 0], b_prime=[[1.0]], theta=[1.5, -0.5]),
+            lambda: DcsbmParams(z=[0, 0], b_prime=[[1.0]], theta=[0.5, np.nan]),
+            lambda: DcsbmParams(z=[0, 0, 1], b_prime=np.eye(2), theta=[0.5, 0.6, 1.0]),
+        ],
+    )
+    def test_every_check_is_a_typed_error(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+    def test_both_models_share_one_base(self):
+        sbm = SbmParams(z=[0, 1, 1], b=np.full((2, 2), 0.5))
+        dcsbm = DcsbmParams(z=[0, 1, 1], b_prime=np.full((2, 2), 2.0), theta=[1.0, 0.25, 0.75])
+        assert isinstance(sbm, BlockModel) and isinstance(dcsbm, BlockModel)
+        assert (sbm.n, sbm.k, dcsbm.n, dcsbm.k) == (3, 2, 3, 2)
+        assert sbm.rates is sbm.b and sbm.weights.tolist() == [1.0, 1.0, 1.0]
+        assert dcsbm.rates is dcsbm.b_prime and dcsbm.weights is dcsbm.theta
+        assert [f.name for f in fields(sbm)] == ["z", "b"]
+        assert [f.name for f in fields(dcsbm)] == ["z", "b_prime", "theta"]
+
+    def test_json_file_bytes(self, tmp_path):
+        # the layout: the model's name, then each field in declaration order
+        path = tmp_path / "params.json"
+        save_params(SbmParams(z=[0, 1], b=[[0.5, 0.25], [0.25, 0.5]]), path)
+        assert path.read_text() == (
+            '{\n  "model": "sbm",\n  "z": [\n    0,\n    1\n  ],\n  "b": [\n    [\n      0.5,\n'
+            '      0.25\n    ],\n    [\n      0.25,\n      0.5\n    ]\n  ]\n}\n'
+        )
+        save_params(DcsbmParams(z=[0], b_prime=[[2.0]], theta=[1.0]), path)
+        assert path.read_text() == (
+            '{\n  "model": "dcsbm",\n  "z": [\n    0\n  ],\n  "b_prime": [\n    [\n      2.0\n'
+            '    ]\n  ],\n  "theta": [\n    1.0\n  ]\n}\n'
+        )
 
 
 class TestPopulationAdjacency:
@@ -291,6 +341,30 @@ class TestDcsbmPreset:
     def test_expected_degrees_helper(self):
         p = sbm_snr_preset(30, 3, 2.0, 6.0)
         assert expected_degrees(p).sum() / 30 == pytest.approx(6.0, abs=1e-9)
+
+
+class TestExpectedDegrees:
+    def test_matches_population_row_sums(self):
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        for trial in range(200):  # 100 of each model
+            n, k = int(rng.integers(2, 401)), int(rng.integers(1, 6))
+            maker = random_sbm if trial % 2 else random_dcsbm
+            p = maker(rng, n=max(n, k), k=k)
+            dense = population_adjacency(p).sum(axis=1)
+            worst = max(worst, float(np.max(np.abs(expected_degrees(p) - dense) / dense)))
+        assert worst <= 1e-12
+
+    def test_no_dense_matrix_at_1e5_nodes(self):
+        p = sbm_snr_preset(100_000, 3, 3.0, 20.0)
+        tracemalloc.start()
+        try:
+            degree = expected_degrees(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert degree.mean() == pytest.approx(20.0, rel=1e-12)
 
 
 def preset_80_steps(n, k, snr, target_avg_degree, beta, seed):

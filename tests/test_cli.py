@@ -35,6 +35,12 @@ def spec_file(tmp_path):
 
 
 class TestFactorize:
+    def test_malformed_gml_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.gml"
+        path.write_text("graph [\n node [ id 0 value 1e400 ] node [ id 1 ] edge [ source 0 target 1 ] ]\n")
+        assert main(["factorize", str(path), "--k", "1"]) == 2
+        assert "line 2: value must be a 64-bit integer" in capsys.readouterr().err
+
     def test_single_community_all_zero(self, k3_file, capsys):
         assert main(["factorize", str(k3_file), "--k", "1"]) == 0
         out = capsys.readouterr().out

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from blockfactor.datasets import data_dir, karate, load_dataset, polblogs
-from blockfactor.errors import MissingFixtureError
+from blockfactor.datasets import DATASETS, data_dir, karate, load_dataset, polblogs
+from blockfactor.errors import InvalidInputError, MissingFixtureError
 from blockfactor.graphs import degrees, is_connected
 
 
@@ -51,4 +51,9 @@ class TestDataDirOverride:
         g, labels = load_dataset("karate")
         assert g.n == labels.shape[0]
         with pytest.raises(ValueError):
+            load_dataset("airports")
+
+    def test_unknown_name_is_a_typed_error_listing_the_names(self):
+        assert DATASETS == ("karate", "dolphins", "polblogs")
+        with pytest.raises(InvalidInputError, match="'karate', 'dolphins', 'polblogs'"):
             load_dataset("airports")

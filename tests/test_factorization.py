@@ -264,6 +264,24 @@ class TestSweepLoop:
         assert f.objective_trace[0] > 1.4e154
         assert f.objective_trace[-1] <= 1e-6 * np.linalg.norm(x)
 
+    # an exact start, and the 1e77 start whose trace reads 0 from sweep 5 on
+    ZERO_TRACE_CASES = {
+        "exact": (np.ones((4, 4)), np.full((4, 2), np.sqrt(0.5))),
+        "overflowing": (3e153 * np.ones((4, 4)), 1e77 * np.ones((4, 2))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ZERO_TRACE_CASES))
+    def test_two_exact_zeros_stop_the_solve(self, case):
+        x, h0 = self.ZERO_TRACE_CASES[case]
+        with np.errstate(all="ignore"):
+            f = snmf(x, 2, h0)
+            full = snmf(x, 2, h0, SolverConfig(rel_tol=0.0))
+        assert f.converged and f.iterations < 10
+        assert (f.objective_trace[-2:] == 0).all()
+        # rel_tol = 0 never stops early, and the stopped trace is its prefix
+        assert not full.converged and full.iterations == 500
+        assert np.array_equal(f.objective_trace, full.objective_trace[: f.iterations + 1])
+
     @pytest.mark.parametrize("n", [60, 300])
     @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
     @pytest.mark.parametrize("solver", [snmf, osntf])
@@ -462,9 +480,14 @@ class TestSharedProducts:
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
     def test_overflowing_starts(self, method):
         # the 1e77 start of TestSweepLoop, whose first residual is rescaled
-        # (OSNTF then overflows), and an H H^T that overflows at once
+        # (OSNTF then overflows), and an H H^T that overflows at once.  The
+        # first runs at rel_tol 0: its SNMF trace reads 0 from sweep 5 on,
+        # where the default stop now ends the solve and the frozen loop's
+        # did not (test_two_exact_zeros_stop_the_solve)
         with np.errstate(all="ignore"):
-            f = assert_same_as_parent(method, 3e153 * np.ones((4, 4)), 2, 1e77 * np.ones((4, 2)), SolverConfig())
+            f = assert_same_as_parent(
+                method, 3e153 * np.ones((4, 4)), 2, 1e77 * np.ones((4, 2)), SolverConfig(rel_tol=0.0)
+            )
             if method == "snmf":
                 assert f.objective_trace[0] > 1.4e154
             else:

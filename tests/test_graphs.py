@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockfactor.errors import EmptyGraphError, GraphParseError, IsolatedNodeError
+from blockfactor.errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError
 from blockfactor.graphs import (
     MAX_NODES,
     Graph,
@@ -120,6 +120,25 @@ class TestGraphType:
     def test_adjacency_readonly(self):
         with pytest.raises(ValueError):
             K3.adjacency[0, 1] = 5.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Graph.from_edges(2, [(0, 1, 2)]),
+            lambda: symmetrize_directed([(0, 1)], n=MAX_NODES + 1),
+            lambda: Graph(n=-1, edge_array=[]),
+            lambda: Graph(n=3, edge_array=[(1, 0)]),
+            lambda: Graph(n=3, edge_array=[(0, 2), (0, 1)]),
+            lambda: Graph(n=2, edge_array=[], node_names=("a",)),
+            lambda: Graph.from_edges(3, [(1, 1)]),
+            lambda: Graph.from_edges(2, [(0, 2)]),
+            lambda: induced_subgraph(K3, [0, 3]),
+            lambda: induced_subgraph(K3, [0, 0]),
+        ],
+    )
+    def test_bad_argument_is_a_typed_error(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
 
 
 class TestDegrees:

@@ -1,5 +1,6 @@
 """Edge-list and GML ingestion."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,54 @@ class TestGml:
         assert not p.exists()
 
 
+# each a GML fault, and the line it must be reported on
+MALFORMED_GML = {
+    "non-integer directed": ("graph [\n directed x\n]", 2),
+    "non-integer id": ('graph [\n node [ id "7" ]\n]', 2),
+    "non-integer value": ("graph [ node [ id 0 ]\n node [ id 1\n value abc ] ]", 3),
+    "overflowing value": ("graph [ node [ id 0\n value 1e400 ] ]", 2),
+    "overflowing id": ("graph [ node [ id 0 ]\n node [ id -1e400 ] ]", 2),
+    "fractional target": ("graph [ node [ id 0 ] node [ id 1 ]\n edge [ source 0 target 1.9 ] ]", 2),
+    "fractional value": ("graph [ node [ id 0\n\n value 1.7 ] ]", 3),
+    "value beyond 64 bits": (f"graph [ node [ id 0 value {2**63} ] ]", 1),
+    "unclosed graph": ("graph [\n node [ id 0 ]\n", 1),
+    "unclosed node": ("graph [ node [ id 0 ]\n node [ id 1\n", 2),
+    "unterminated string": ('graph [ node [ id 0\n label "a ] ]', 2),
+    "stray closing bracket": ("graph [ node [ id 0 ] ]\n]", 2),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GML))
+    def test_gml_fault_is_a_parse_error_with_its_line(self, case):
+        text, line = MALFORMED_GML[case]
+        with pytest.raises(GraphParseError) as exc:
+            parse_gml(text)
+        assert exc.value.line == line
+
+    def test_string_may_span_lines(self):
+        g, labels = parse_gml('Creator "two\nlines" graph [ node [ id 0 label "a\nb" ]\n node [ id 1 value 2 ] ]')
+        assert g.node_names == ("a\nb", "1") and labels.tolist() == [-1, 2]
+        with pytest.raises(GraphParseError) as exc:
+            parse_gml('Creator "two\nlines"\ngraph [ node [ id x ] ]')
+        assert exc.value.line == 3
+
+    def test_karate_parses_to_the_same_graph(self):
+        # the digest of the edges and labels the per-line tokenizer read,
+        # before strings could span lines (karate's Creator string does)
+        g, labels = load_gml(DATA / "karate.gml")
+        digest = hashlib.sha256(g.edge_array.tobytes() + labels.tobytes()).hexdigest()
+        assert digest == "5309141a7bffd6e9d4a4fa3bdf1f851d726525749ee12dbc1886bfc4c27a0bfe"
+        assert g.node_names is None
+
+    @pytest.mark.parametrize("reader", [read_edge_pairs, load_labels, load_gml])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, reader):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"0 1\n1 2 # caf\xe9\n")
+        with pytest.raises(GraphParseError, match="not UTF-8"):
+            reader(p)
+
+
 class TestLabelsFile:
     def test_round_trip_plain(self, tmp_path):
         p = tmp_path / "labels.txt"
@@ -183,6 +232,13 @@ class TestLabelsFile:
         p = tmp_path / "labels.txt"
         save_labels(np.array([2, 0, 1]), p, names=["two words", " padded ", ""])
         assert load_labels(p).tolist() == [2, 0, 1]
+
+    def test_label_beyond_64_bits_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text(f"0\nname\t{2**63}\n")
+        with pytest.raises(GraphParseError, match="not a 64-bit integer") as exc:
+            load_labels(p)
+        assert exc.value.line == 2
 
     @pytest.mark.parametrize("name", ["a#1", "tab\there", "two\nlines", "cr\r"])
     def test_unreadable_name_rejected_before_writing(self, tmp_path, name):

@@ -93,6 +93,11 @@ class TestNmi:
         with pytest.raises(ValueError):
             nmi([0, 1], [0, 1], "geometric")
 
+    @pytest.mark.parametrize("a", [[[0, 1]], [-1, 0]])
+    def test_malformed_partition_is_a_typed_error(self, a):
+        with pytest.raises(InvalidInputError):
+            nmi(a, [0, 1])
+
     def test_unknown_variant_on_single_class_partitions(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             nmi([0, 0, 0], [1, 1, 1], variant="bogus")
