@@ -25,12 +25,12 @@ from .errors import BlockfactorError, InvalidInputError, is_integer
 from .factorization import SolverConfig, assign_communities, osntf, snmf
 from .graphs import Graph, largest_connected_component, normalized_laplacian
 from .metrics import misclustering_rate, nmi
-from .spectral import VARIANTS, graph_eigenvectors, kmeans, nmf_init_from_partition, unit_rows
+from .spectral import VARIANTS, graph_eigenvectors, kmeans, nmf_init_from_partition, sym_eigs_topk, unit_rows
 
 # Not called here, but bound in this module because perfbench/tracing.py
 # wraps them where bench looks them up.
 from .factorization import frobenius_residual  # noqa: F401
-from .spectral import spectral_clustering, sym_eigs_topk  # noqa: F401
+from .spectral import spectral_clustering  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -85,11 +85,12 @@ class MethodOutput:
 
 
 class _SharedStages:
-    """The spectral stages of the methods run on one graph, each done once.
+    """The stages of the methods run on one graph, each done once.
 
-    A stage is the top-k eigensolve of one graph matrix or the k-means
-    partition of one embedding of it.  Only their n x k vectors and labels
-    are kept, with the seconds each took; no n x n matrix is.
+    A stage is the normalized Laplacian L, the top-k eigensolve of one
+    graph matrix, or the k-means partition of one embedding of it.  Each
+    is kept with the seconds it took.  L is the one matrix kept: its
+    eigensolve and both NMF targets use it, and as CSR it is O(m).
     """
 
     def __init__(self, g: Graph, k: int, seed, tau: Optional[float]):
@@ -106,12 +107,19 @@ class _SharedStages:
             self._done[key] = (value, time.perf_counter() - start)
         return self._done[key]
 
+    def laplacian(self):
+        """L as a read-only CSR array, and the seconds it took to build."""
+        return self._stage(("L",), lambda: normalized_laplacian(self.g))
+
     def partition(self, matrix: str, unit: bool) -> tuple[np.ndarray, float]:
         """k-means labels of the top-k eigenvectors of ``matrix`` (rows scaled
-        to unit length when ``unit``), and the seconds both stages took."""
-        vectors, eigs_s = self._stage(
-            (matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix, tau=self.tau)
-        )
+        to unit length when ``unit``), and the seconds every stage took."""
+        if matrix == "laplacian":
+            lap, build_s = self.laplacian()
+            vectors, eigs_s = self._stage((matrix,), lambda: sym_eigs_topk(lap, self.k).vectors)
+            eigs_s += build_s
+        else:
+            vectors, eigs_s = self._stage((matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix, tau=self.tau))
         labels, kmeans_s = self._stage(
             (matrix, unit),
             lambda: kmeans(unit_rows(vectors) if unit else vectors, self.k, seed=self.seed),
@@ -136,9 +144,10 @@ def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str,
 
 
 def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig, init: str):
-    """One method on the shared graph; its CSR target is freed on return.
+    """One method on the shared graph.
 
-    The partition, computed here or reused, is charged at its recorded cost.
+    The partition and L, computed here or reused, are charged at their
+    recorded cost.
     """
     if method in _SPECTRAL:
         embedding = _SPECTRAL[method]
@@ -146,15 +155,14 @@ def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig,
         embedding = _SPECTRAL["reg-spectral"]
     else:
         embedding = (matrix, False)  # the target's own top-k eigenvectors
-    labels, partition_s = stages.partition(*embedding)
+    labels, shared_s = stages.partition(*embedding)
     start = time.perf_counter()
     if method in _SPECTRAL:
         out = MethodOutput(labels=labels)
     else:
-        # the target is built after the seeding partition, so it never
-        # coexists with the eigensolve's own matrix
         g, k = stages.g, stages.k
-        x = normalized_laplacian(g) if matrix == "laplacian" else g.adjacency
+        x, build_s = stages.laplacian() if matrix == "laplacian" else (g.adjacency, 0.0)
+        shared_s += build_s
         h0 = nmf_init_from_partition(labels, k)
         f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
         out = MethodOutput(
@@ -164,7 +172,7 @@ def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig,
             # the trace's last entry is frobenius_residual(x, f.h, f.s) for CSR x
             residual=float(f.objective_trace[-1]),
         )
-    out.wall_time_s = partition_s + time.perf_counter() - start
+    out.wall_time_s = shared_s + time.perf_counter() - start
     return out
 
 

@@ -40,8 +40,8 @@ class BlockModel:
     and the SBM is the DCSBM with every t_i = 1 (Karrer & Newman 2011).
 
     The constructor freezes the fields and checks that C is square,
-    symmetric and nonnegative, that the labels lie in [0, K) and that no
-    block is empty; subclasses add their own checks.  Each raises
+    symmetric and nonnegative, that the labels are integers in [0, K) and
+    that no block is empty; subclasses add their own checks.  Each raises
     InvalidInputError.
     """
 
@@ -49,7 +49,11 @@ class BlockModel:
 
     def __post_init__(self):
         for f in fields(self):
-            a = np.array(getattr(self, f.name), dtype=np.int64 if f.name == "z" else np.float64)
+            a = np.array(getattr(self, f.name), dtype=np.float64)
+            if f.name == "z":
+                if not (np.isfinite(a) & (np.floor(a) == a) & (np.abs(a) < 2**63)).all():
+                    raise InvalidInputError("membership labels must be integers")
+                a = np.array(self.z, dtype=np.int64)
             a.setflags(write=False)
             object.__setattr__(self, f.name, a)
         c, z, name = self.rates, self.z, type(self).__name__

@@ -19,7 +19,6 @@ product X H, which costs O(mk) for CSR X with m stored entries.
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "ExactnessReport",
     "exactness_diagnostics",
     "frobenius_residual",
-    "save_factor_matrices",
-    "load_factor_matrices",
 ]
 
 
@@ -354,45 +351,3 @@ def exactness_diagnostics(
         orthogonality_drift=drift,
         row_sparsity=sparse_rows,
     )
-
-
-def save_factor_matrices(f: Factorization, path) -> None:
-    """Write H (and S when present) as plain text, one matrix row per line."""
-    lines = []
-    for name, m in (("h", f.h), ("s", f.s)):
-        if m is not None:
-            lines.append(f"# {name} {m.shape[0]} {m.shape[1]}")
-            lines += (" ".join(repr(float(v)) for v in row) for row in m)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_factor_matrices(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Inverse of save_factor_matrices; returns (h, s-or-None).
-
-    A malformed file raises InvalidInputError naming the offending line.
-    """
-    blocks: dict[str, tuple] = {}  # name -> (header line number, n, k, rows)
-    block = None
-    for num, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        tokens, where = line.split(), f"{path}, line {num}"
-        if tokens[:1] == ["#"]:
-            if not (len(tokens) == 4 and tokens[1] in ("h", "s") and tokens[1] not in blocks
-                    and tokens[2].isdecimal() and tokens[3].isdecimal()):
-                raise InvalidInputError(f"{where}: expected a new '# h n k' or '# s k k' header, got {line!r}")
-            block = blocks[tokens[1]] = (num, int(tokens[2]), int(tokens[3]), [])
-        elif tokens:
-            if block is None:
-                raise InvalidInputError(f"{where}: a matrix row before any '# h n k' header")
-            if len(tokens) != block[2]:
-                raise InvalidInputError(f"{where}: {len(tokens)} entries where its header says {block[2]}")
-            try:
-                block[3].append([float(tok) for tok in tokens])
-            except ValueError:
-                raise InvalidInputError(f"{where}: non-numeric entry in {line!r}") from None
-    if "h" not in blocks:
-        raise InvalidInputError(f"{path}: no '# h n k' block")
-    for name, (num, n, k, rows) in blocks.items():
-        if len(rows) != n:
-            raise InvalidInputError(f"{path}, line {num}: the '# {name}' block has {len(rows)} rows, not {n}")
-    h, s = (np.array(blocks[b][3]).reshape(blocks[b][1:3]) if b in blocks else None for b in "hs")
-    return h, s

@@ -1,6 +1,8 @@
 """Graph file ingestion: whitespace edge lists and a small GML subset."""
 
 import re
+import warnings
+from io import TextIOWrapper
 from pathlib import Path
 from typing import Optional, Union
 
@@ -43,6 +45,26 @@ def _content_lines(path: PathLike):
             yield lineno, line
 
 
+def _c_reader_table(path: PathLike, columns: int) -> Optional[np.ndarray]:
+    """The file as an int64 table of ``columns`` columns, parsed whole by
+    numpy's C reader, or None when the line loop has to decide.  Only ASCII
+    goes to numpy: its integer parser passes code points to C ``isdigit``,
+    which reads out of bounds above 255 (it read "1\\U0009c6c02" as 6406662,
+    and sometimes crashed).
+    """
+    with open(path, "rb") as raw:
+        if not raw.read().isascii():
+            return None
+        raw.seek(0)
+        with TextIOWrapper(raw, encoding="ascii") as text, warnings.catch_warnings():
+            warnings.simplefilter("error")  # it warns on a file with no rows
+            try:
+                table = np.loadtxt(text, dtype=np.int64, comments="#", ndmin=2)
+            except (ValueError, Warning):
+                return None
+    return table if table.shape[1] == columns else None
+
+
 def read_edge_pairs(path: PathLike) -> np.ndarray:
     """Raw ordered integer pairs from a whitespace edge list, as an (m, 2)
     int64 array in file order.
@@ -50,7 +72,13 @@ def read_edge_pairs(path: PathLike) -> np.ndarray:
     Lines are `i j` with ids in [0, ``graphs.MAX_NODES``); `#` starts a
     comment.  A malformed line raises GraphParseError with its line
     number.  No symmetrization or self-loop filtering happens here.
+
+    numpy's C reader parses the file; the line loop below runs, and raises,
+    only where that fails or finds an id out of range.
     """
+    pairs = _c_reader_table(path, 2)
+    if pairs is not None and pairs.min() >= 0 and pairs.max() < MAX_NODES:
+        return pairs
     ids = []
     for lineno, line in _content_lines(path):
         parts = line.split()
@@ -97,41 +125,42 @@ def _tokenize_gml(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def _parse_gml_list(tokens, pos, opened=None):
-    """Key/value pairs up to the ``]`` closing the ``[`` on line ``opened`` (or the end); returns (items, pos)."""
-    items = []
-    while pos < len(tokens):
-        tok, lineno = tokens[pos]
+def _gml_scalar(val: str):
+    if val.startswith('"'):
+        return val[1:-1]
+    for kind in (int, float):
+        try:
+            return kind(val)
+        except ValueError:
+            pass
+    return val
+
+
+def _parse_gml_list(tokens) -> list:
+    """The top-level (key, value, line) items; a ``[ ... ]`` value is the list
+    of its own items.  Open lists wait on an explicit stack, so no depth of
+    nesting can exhaust Python's recursion limit."""
+    items, stack = [], []  # stack: (enclosing items, key, key line, line of '[')
+    tokens = iter(tokens)
+    for tok, lineno in tokens:
         if tok == "]":
-            if opened is None:
+            if not stack:
                 raise GraphParseError("']' closes no '['", line=lineno)
-            return items, pos + 1
-        key = tok
-        pos += 1
-        if pos >= len(tokens):
-            raise GraphParseError(f"key {key!r} has no value", line=lineno)
-        val, vline = tokens[pos]
+            outer, key, key_line, _ = stack.pop()
+            outer.append((key, items, key_line))
+            items = outer
+            continue
+        val, vline = next(tokens, ("]", lineno))
+        if val == "]":
+            raise GraphParseError(f"key {tok!r} has no value", line=vline)
         if val == "[":
-            sub, pos = _parse_gml_list(tokens, pos + 1, opened=vline)
-            items.append((key, sub, lineno))
-        elif val == "]":
-            raise GraphParseError(f"key {key!r} has no value", line=vline)
+            stack.append((items, tok, lineno, vline))
+            items = []
         else:
-            if val.startswith('"'):
-                parsed = val[1:-1]
-            else:
-                try:
-                    parsed = int(val)
-                except ValueError:
-                    try:
-                        parsed = float(val)
-                    except ValueError:
-                        parsed = val
-            items.append((key, parsed, lineno))
-            pos += 1
-    if opened is not None:
-        raise GraphParseError("'[' is never closed", line=opened)
-    return items, pos
+            items.append((tok, _gml_scalar(val), lineno))
+    if stack:
+        raise GraphParseError("'[' is never closed", line=stack[-1][3])
+    return items
 
 
 def _gml_fields(block, ints) -> dict:
@@ -152,7 +181,7 @@ def parse_gml_items(text: str) -> tuple[list[dict], list[tuple[int, int]], bool]
     ``[`` or string or a non-integer id, raises GraphParseError with its line.
     """
     tokens = _tokenize_gml(text)
-    items, _ = _parse_gml_list(tokens, 0)
+    items = _parse_gml_list(tokens)
     graph_item = next((v for k, v, _ in items if k == "graph" and isinstance(v, list)), None)
     if graph_item is None:
         raise GraphParseError("no 'graph [ ... ]' block found")
@@ -212,9 +241,9 @@ def load_gml(path: PathLike) -> tuple[Graph, Optional[np.ndarray]]:
 def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> None:
     """Write the same GML subset the parser reads (ids 0..n-1).
 
-    A node name the parser could not read back, one holding a ``"`` or a
-    line break, or a ``labels`` whose length is not the node count, raises
-    InvalidInputError before the file is opened.
+    A node name the parser could not read back, one holding a ``"``, a
+    line break or a lone surrogate, or a ``labels`` whose length is not the
+    node count, raises InvalidInputError before the file is opened.
     """
     if labels is not None and len(labels) != g.n:
         raise InvalidInputError(f"labels has {len(labels)} entries for {g.n} nodes")
@@ -225,8 +254,8 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
             parts.append(f"value {int(labels[i])}")
         if g.node_names is not None:
             label = f'"{g.node_names[i]}"'
-            if '"' in g.node_names[i] or label.splitlines() != [label]:
-                raise InvalidInputError(f"a GML string cannot hold '\"' or a line break: {label!r}")
+            if re.search('["\ud800-\udfff]', g.node_names[i]) or label.splitlines() != [label]:
+                raise InvalidInputError(f"a GML string cannot hold '\"', a line break or a lone surrogate: {label!r}")
             parts.append(f"label {label}")
         lines.append(" ".join(parts) + " ]")
     for i, j in g.edge_array.tolist():
@@ -236,7 +265,10 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
 
 
 def load_labels(path: PathLike) -> np.ndarray:
-    """Integer labels, one per line, `#` comments allowed."""
+    """Integer labels, one per line, `#` comments allowed; parsed as ``read_edge_pairs`` parses."""
+    table = _c_reader_table(path, 1)
+    if table is not None:
+        return table.ravel()
     out = []
     for lineno, line in _content_lines(path):
         try:
@@ -249,15 +281,15 @@ def load_labels(path: PathLike) -> np.ndarray:
 def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
     """One label per line; `name<TAB>label` when node names are given.
 
-    A name ``load_labels`` could not read back, one holding a `#`, a tab
-    or a line break, or a ``names`` not one per label, raises
-    InvalidInputError before the file is opened.
+    A name ``load_labels`` could not read back, one holding a `#`, a tab,
+    a line break or a lone surrogate, or a ``names`` not one per label,
+    raises InvalidInputError before the file is opened.
     """
     if names is not None and len(names) != len(labels):
         raise InvalidInputError(f"names has {len(names)} entries for {len(labels)} labels")
     for name in names if names is not None else ():
-        if re.search("[#\t\n\r]", name):
-            raise InvalidInputError(f"a label file name cannot hold #, tab or newline: {name!r}")
+        if re.search("[#\t\n\r\ud800-\udfff]", name):
+            raise InvalidInputError(f"a label file name cannot hold #, tab, newline or a lone surrogate: {name!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for i, lab in enumerate(labels):
             fh.write(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n")

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import blockfactor.bench as bench
 import blockfactor.spectral as spectral
@@ -342,13 +343,14 @@ class TestRunMethod:
         run_method(g, 2, "osntf", seed=0)
         assert calls == ["regularized_laplacian", "kmeans", "normalized_laplacian"]
 
-    def test_target_built_after_spectral_init_partition(self, monkeypatch):
+    def test_spectral_init_factorizes_the_laplacian_it_partitioned(self, monkeypatch):
         calls = []
-        for module, name in ((spectral, "sym_eigs_topk"), (bench, "normalized_laplacian")):
-            monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
+        for module in (bench, spectral):
+            for name in ("sym_eigs_topk", "normalized_laplacian"):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         run_method(g, 2, "snmf", seed=0, init="spectral")
-        assert calls == ["sym_eigs_topk", "normalized_laplacian"]
+        assert calls == ["normalized_laplacian", "sym_eigs_topk"]
 
     def test_adjacency_matrix_path(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
@@ -493,7 +495,16 @@ class TestRunMethods:
         assert calls.count("kmeans") == partitions
 
     @pytest.mark.parametrize("options", SHARED_OPTIONS)
-    def test_cache_holds_no_n_by_n_array(self, options):
+    def test_one_laplacian_per_graph(self, monkeypatch, options):
+        calls = []
+        for module in (bench, spectral):
+            monkeypatch.setattr(module, "normalized_laplacian",
+                                recording(module.normalized_laplacian, "normalized_laplacian", calls))
+        run_methods(sbm_graph(), 3, METHODS, seed=0, cfg=SolverConfig(max_iters=5), **options)
+        assert calls == ["normalized_laplacian"]
+
+    @pytest.mark.parametrize("options", SHARED_OPTIONS)
+    def test_cache_holds_no_dense_n_by_n_array(self, options):
         g = sbm_graph()
         stages = bench._SharedStages(g, 3, seed=0, tau=None)
         cfg = SolverConfig(max_iters=20)
@@ -504,7 +515,10 @@ class TestRunMethods:
         kept += [v for v in vars(stages).values() if isinstance(v, np.ndarray)]
         assert kept
         for value in kept:
-            assert value.shape in {(g.n,), (g.n, 3)}
+            if issparse(value):  # L, with its 2m stored entries
+                assert value.nnz == 2 * g.num_edges
+            else:
+                assert value.shape in {(g.n,), (g.n, 3)}
 
     def test_wall_time_is_the_standalone_cost(self, monkeypatch):
         # every method below uses the L_tau eigensolve, whichever runs it

@@ -103,6 +103,9 @@ class TestParamsValidation:
             lambda: SbmParams(z=[0, 2], b=np.eye(2) * 0.5),
             lambda: SbmParams(z=[0, -1], b=np.eye(2) * 0.5),
             lambda: SbmParams(z=[0, 0], b=np.eye(2) * 0.5),
+            lambda: SbmParams(z=[0.5, 1.7, 1.2], b=np.eye(2) * 0.5),
+            lambda: SbmParams(z=[0, 1, np.inf], b=np.eye(2) * 0.5),
+            lambda: DcsbmParams(z=[0, 1.5], b_prime=np.eye(2), theta=[1.0, 1.0]),
             lambda: DcsbmParams(z=[0, 1], b_prime=[[1.0, np.nan], [np.nan, 1.0]], theta=[1.0, 1.0]),
             lambda: DcsbmParams(z=[0, 1], b_prime=np.eye(2), theta=[1.0]),
             lambda: DcsbmParams(z=[0, 0], b_prime=[[1.0]], theta=[1.5, -0.5]),
@@ -113,6 +116,13 @@ class TestParamsValidation:
     def test_every_check_is_a_typed_error(self, make):
         with pytest.raises(InvalidInputError):
             make()
+
+    def test_labels_must_be_integers_but_may_arrive_as_floats(self, tmp_path):
+        assert SbmParams(z=np.array([0.0, 1.0, 1.0]), b=np.eye(2) * 0.5).z.tolist() == [0, 1, 1]
+        path = tmp_path / "params.json"
+        path.write_text('{"model": "sbm", "z": [0.5, 1.7, 1.2], "b": [[0.5, 0.0], [0.0, 0.5]]}')
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            load_params(path)
 
     def test_both_models_share_one_base(self):
         sbm = SbmParams(z=[0, 1, 1], b=np.full((2, 2), 0.5))

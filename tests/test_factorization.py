@@ -28,11 +28,9 @@ from blockfactor.factorization import (
     assign_communities,
     exactness_diagnostics,
     frobenius_residual,
-    load_factor_matrices,
     osntf,
     osntf_objective,
     osntf_step,
-    save_factor_matrices,
     snmf,
     snmf_step,
 )
@@ -628,43 +626,3 @@ class TestExactnessDiagnostics:
         assert report.relative_residual < 1e-6
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        x = random_nonneg_symmetric(rng, 8)
-        f = osntf(x, 2, rng.random((8, 2)) + 0.1)
-        path = tmp_path / "factors.txt"
-        save_factor_matrices(f, path)
-        h, s = load_factor_matrices(path)
-        np.testing.assert_array_equal(h, f.h)
-        np.testing.assert_array_equal(s, f.s)
-
-    @pytest.mark.parametrize(
-        "text, where",
-        [
-            ("1 2\n# h 1 2\n", "line 1: a matrix row before any"),
-            ("# s 1 1\n1\n", "no '# h n k' block"),
-            ("# h 2 2\n1 2\n3\n", "line 3: 1 entries where its header says 2"),
-            ("# h 1 2\n1 x\n", "line 2: non-numeric entry"),
-            ("# h 3 2\n1 2\n3 4\n# s 2 2\n1 0\n0 1\n", "line 1: the '# h' block has 2 rows, not 3"),
-            ("# h 1 2\n1 2\n# s 2 2\n1 0\n", "line 3: the '# s' block has 1 rows, not 2"),
-            ("# h 1 3\n1 2\n", "line 2: 2 entries where its header says 3"),
-            ("# h two 2\n", "line 1: expected a new '# h n k'"),
-            ("# h 1 1\n1\n# h 1 1\n2\n", "line 3: expected a new '# h n k'"),
-        ],
-    )
-    def test_malformed_file_is_a_typed_error(self, tmp_path, text, where):
-        path = tmp_path / "factors.txt"
-        path.write_text(text)
-        with pytest.raises(InvalidInputError, match=where):
-            load_factor_matrices(path)
-
-    def test_snmf_round_trip_without_s(self, tmp_path):
-        rng = np.random.default_rng(16)
-        x = random_nonneg_symmetric(rng, 6)
-        f = snmf(x, 2, rng.random((6, 2)) + 0.1)
-        path = tmp_path / "factors.txt"
-        save_factor_matrices(f, path)
-        h, s = load_factor_matrices(path)
-        np.testing.assert_array_equal(h, f.h)
-        assert s is None

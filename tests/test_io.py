@@ -152,7 +152,7 @@ class TestGml:
         g2, _ = load_gml(p)
         assert g2 == g
 
-    @pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "cr\r", "sep\u2028"])
+    @pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "cr\r", "sep\u2028", "\ud800", "a\udfffb"])
     def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
         g = Graph.from_edges(2, [(0, 1)], node_names=["ok", name])
         p = tmp_path / "g.gml"
@@ -182,6 +182,8 @@ MALFORMED_GML = {
     "unclosed node": ("graph [ node [ id 0 ]\n node [ id 1\n", 2),
     "unterminated string": ('graph [ node [ id 0\n label "a ] ]', 2),
     "stray closing bracket": ("graph [ node [ id 0 ] ]\n]", 2),
+    # deeper than Python's recursion limit
+    "2000 unclosed lists": ("a [ " * 1999 + "\nb [", 2),
 }
 
 
@@ -192,6 +194,11 @@ class TestMalformedFiles:
         with pytest.raises(GraphParseError) as exc:
             parse_gml(text)
         assert exc.value.line == line
+
+    def test_lists_nested_deeper_than_the_recursion_limit(self):
+        depth = 5000
+        g, labels = parse_gml("x [ " * depth + "] " * depth + "graph [ node [ id 0 value 1 ] ]")
+        assert g.n == 1 and labels.tolist() == [1]
 
     def test_string_may_span_lines(self):
         g, labels = parse_gml('Creator "two\nlines" graph [ node [ id 0 label "a\nb" ]\n node [ id 1 value 2 ] ]')
@@ -240,7 +247,7 @@ class TestLabelsFile:
             load_labels(p)
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("name", ["a#1", "tab\there", "two\nlines", "cr\r"])
+    @pytest.mark.parametrize("name", ["a#1", "tab\there", "two\nlines", "cr\r", "\ud800", "a\udfffb"])
     def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
         p = tmp_path / "labels.txt"
         with pytest.raises(InvalidInputError, match="label file name cannot hold"):

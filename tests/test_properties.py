@@ -1,17 +1,20 @@
-"""Property tests of the file readers, run deterministically (derandomized,
-a bounded number of examples, no example database)."""
+"""Property tests of the file readers and of NMI, run deterministically
+(derandomized, a bounded number of examples, no example database)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockfactor.io
 from blockfactor.blockmodels import load_params
-from blockfactor.errors import BlockfactorError, InvalidInputError
-from blockfactor.graphs import Graph
+from blockfactor.errors import BlockfactorError, GraphParseError, InvalidInputError
+from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import load_labels, parse_gml, read_edge_pairs, save_gml
+from blockfactor.metrics import nmi
 
 DETERMINISTIC = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -121,3 +124,172 @@ def test_load_params_raises_only_invalid_input(tmp_path_factory, doc):
         load_params(path)
     except InvalidInputError:
         pass
+
+
+# ---- the edge-list and label readers against frozen copies of their line loops ----
+
+
+def _utf8_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _content_lines(path):
+    for lineno, raw in enumerate(_utf8_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def reference_read_edge_pairs(path):
+    ids = []
+    for lineno, line in _content_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(f"expected two integers, got {len(parts)} tokens", line=lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"non-integer token in {parts!r}", line=lineno)
+        if not (0 <= a < MAX_NODES and 0 <= b < MAX_NODES):
+            raise GraphParseError(f"node id in ({a}, {b}) not in [0, {MAX_NODES})", line=lineno)
+        ids += (a, b)
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_load_labels(path):
+    out = []
+    for lineno, line in _content_lines(path):
+        try:
+            out.append(np.int64(int(line.split("\t")[-1])))
+        except (ValueError, OverflowError):
+            raise GraphParseError(f"label {line!r} is not a 64-bit integer", line=lineno)
+    return np.array(out, dtype=np.int64)
+
+
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: the array, or the parse error's line
+    and message.  A warning that reaches the caller fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = reader(path)
+        except GraphParseError as exc:
+            return "error", exc.line, str(exc)
+        finally:
+            assert [str(w.message) for w in caught] == []
+    assert out.dtype == np.int64
+    return "array", out.shape, out.tolist()
+
+
+def _assert_readers_match_their_loops(path, content):
+    path.write_bytes(content)
+    assert _outcome(read_edge_pairs, path) == _outcome(reference_read_edge_pairs, path)
+    assert _outcome(load_labels, path) == _outcome(reference_load_labels, path)
+
+
+BIG_IDS = [str(v).encode() for v in (-1, MAX_NODES - 1, MAX_NODES, 2**63 - 1, 2**63, -(2**63))]
+# text that only the line loop reads: a digit numpy's parser does not know,
+# a BOM, NUL, a code point above 255, and bytes that are not UTF-8
+NOT_C_READABLE = ["١", "\ufeff", "\x00", "\U0009c6c0"]
+BYTE_SOUP = st.lists(
+    st.sampled_from(
+        [c.encode() for c in "0123456789+-_#.\t\r\n\x0b\x0c\x1c\x85\xa0 "]
+        + [c.encode() for c in NOT_C_READABLE] + [b"\xff", b"\xc3"] + BIG_IDS
+    ),
+    max_size=40,
+).map(b"".join)
+NUMBER = st.integers(0, 40).map(lambda i: str(i).encode())
+ODD_TOKEN = st.sampled_from(BIG_IDS + [b"+7", b"-0", b"007", b"1_0", b"1.0", b"1e3", "١".encode()])
+ASCII_GAP = st.sampled_from([b" ", b"\t", b"  ", b"\x0b", b"\x0c", b"\x1c"])
+ODD_GAP = st.sampled_from(["\xa0".encode(), "\x85".encode()])
+LINE_END = st.sampled_from([b"\n", b"\r\n", b"\r", b" # note\n", b"\n\n", b"\t\n"])
+
+
+@st.composite
+def token_rows(draw):
+    """Rows of mostly one width.  Half the files hold only small numbers and
+    ASCII whitespace, so that many are valid for one reader or the other."""
+    plain, width = draw(st.booleans()), draw(st.integers(1, 3))
+    token, gap = (NUMBER, ASCII_GAP) if plain else (NUMBER | ODD_TOKEN, ASCII_GAP | ODD_GAP)
+    out = draw(st.sampled_from([b"", b"# header\n", b" "]))
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.sampled_from([width] * 6 + [1, 2, 3]))
+        tokens = draw(st.lists(token, min_size=size, max_size=size))
+        out += b"".join(tok + draw(gap) for tok in tokens[:-1]) + tokens[-1] + draw(LINE_END)
+    return out
+
+
+@DETERMINISTIC
+@given(BYTE_SOUP | token_rows())
+def test_readers_match_their_line_loops_on_fuzzed_bytes(tmp_path_factory, content):
+    _assert_readers_match_their_loops(tmp_path_factory.getbasetemp() / "equivalence.txt", content)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"",
+        b"# only a comment\n",
+        b"1 2\n",
+        b"0\n1\n2\n",
+        b"0 1 2\n3 4 5\n",
+        b"0 1\n2\n",
+        b"-1 0\n",
+        f"0 {MAX_NODES}\n".encode(),
+        f"{MAX_NODES - 1} 0\n".encode(),
+        f"{2**63} 0\n".encode(),
+        f"{2**63}\n".encode(),
+        b"3 # a 4\r\n\n -2\t\x0b5\r",
+        "1\U0009c6c0 2\n".encode(),
+        "0 1\n١ 2\n".encode(),
+    ],
+)
+def test_readers_match_their_line_loops(tmp_path, content):
+    _assert_readers_match_their_loops(tmp_path / "equivalence.txt", content)
+
+
+def test_an_ascii_file_never_reaches_the_line_loop(tmp_path, monkeypatch):
+    def no_loop(path):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(blockfactor.io, "_content_lines", no_loop)
+    edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+    edges.write_text("# two edges\n0 1\r\n1\t2 # the second\n")
+    labels.write_text("3\n-1\n")
+    np.testing.assert_array_equal(read_edge_pairs(edges), [[0, 1], [1, 2]])
+    np.testing.assert_array_equal(load_labels(labels), [3, -1])
+
+
+def test_a_file_that_is_not_ascii_never_reaches_the_c_reader(tmp_path, monkeypatch):
+    def no_c_reader(*args, **kwargs):
+        raise AssertionError("numpy's reader ran")
+
+    monkeypatch.setattr(np, "loadtxt", no_c_reader)
+    path = tmp_path / "g.edges"
+    path.write_text("0\xa01\n", encoding="utf-8")
+    np.testing.assert_array_equal(read_edge_pairs(path), [[0, 1]])
+    path.write_text("7\n\u0661\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_labels(path), [7, 1])
+
+
+# ---- NMI ----------------------------------------------------------------------
+
+PARTITION_PAIRS = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n)] * 2)
+)
+RENAMING = st.lists(st.integers(0, 100), min_size=5, max_size=5, unique=True)
+
+
+@DETERMINISTIC
+@given(PARTITION_PAIRS, RENAMING, RENAMING)
+def test_nmi_is_symmetric_bounded_and_blind_to_label_names(pair, rename_a, rename_b):
+    a, b = np.array(pair[0]), np.array(pair[1])
+    value = nmi(a, b)
+    assert 0.0 <= value <= 1.0
+    # the sums run in another order, so agreement is to rounding
+    assert nmi(b, a) == pytest.approx(value, rel=0, abs=1e-12)
+    assert nmi(np.array(rename_a)[a], np.array(rename_b)[b]) == pytest.approx(value, rel=0, abs=1e-12)
