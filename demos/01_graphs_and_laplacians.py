@@ -15,7 +15,7 @@ from blockfactor.datasets import data_dir
 
 # a triangle plus a pendant edge, by hand
 g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3)])
-print("nodes:", g.n, "edges:", g.edges)
+print("nodes:", g.n, "edges:", g.edge_array.tolist())
 print("degrees:", degrees(g))
 
 # node 4 is isolated, so the Laplacian refuses until we take the LCC
@@ -31,7 +31,7 @@ print("eigenvalues lie in [-1, 1]:", np.round(np.linalg.eigvalsh(lap.toarray()),
 
 # directed pairs collapse to a simple undirected graph
 directed = [(0, 1), (1, 0), (2, 2), (1, 2)]
-print("symmetrized:", symmetrize_directed(directed).edges)
+print("symmetrized:", symmetrize_directed(directed).edge_array.tolist())
 
 # the bundled karate fixture carries ground-truth labels in its GML values
 karate, labels = load_graph(data_dir() / "karate.gml")

@@ -10,7 +10,6 @@ from .blockmodels import (
     population_adjacency,
     population_laplacian,
     sample_graph,
-    sbm_four_parameter,
     sbm_snr_preset,
 )
 from .factorization import (
@@ -21,13 +20,11 @@ from .factorization import (
     exactness_diagnostics,
     frobenius_residual,
     osntf,
-    osntf_objective,
     snmf,
 )
 from .graphs import (
     Graph,
     degrees,
-    is_connected,
     largest_connected_component,
     normalized_laplacian,
     symmetrize_directed,
@@ -50,7 +47,6 @@ __all__ = [
     "degrees",
     "normalized_laplacian",
     "largest_connected_component",
-    "is_connected",
     "symmetrize_directed",
     "load_graph",
     "load_edgelist",
@@ -64,14 +60,12 @@ __all__ = [
     "expected_degrees",
     "sample_graph",
     "sbm_snr_preset",
-    "sbm_four_parameter",
     "dcsbm_powerlaw_preset",
     "SolverConfig",
     "Factorization",
     "snmf",
     "osntf",
     "assign_communities",
-    "osntf_objective",
     "ExactnessReport",
     "exactness_diagnostics",
     "frobenius_residual",

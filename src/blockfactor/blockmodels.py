@@ -12,6 +12,7 @@ from .errors import (
     InfeasibleDegreeError,
     InvalidInputError,
     ZeroExpectedDegreeError,
+    integer_array,
 )
 from .graphs import Graph
 
@@ -19,14 +20,11 @@ __all__ = [
     "BlockModel",
     "SbmParams",
     "DcsbmParams",
-    "block_sizes",
-    "membership_matrix",
     "population_adjacency",
     "population_laplacian",
     "expected_degrees",
     "sample_graph",
     "sbm_snr_preset",
-    "sbm_four_parameter",
     "dcsbm_powerlaw_preset",
     "save_params",
     "load_params",
@@ -49,11 +47,15 @@ class BlockModel:
 
     def __post_init__(self):
         for f in fields(self):
-            a = np.array(getattr(self, f.name), dtype=np.float64)
+            value = getattr(self, f.name)
+            # np.array copies, so the caller's array is never frozen
             if f.name == "z":
-                if not (np.isfinite(a) & (np.floor(a) == a) & (np.abs(a) < 2**63)).all():
-                    raise InvalidInputError("membership labels must be integers")
-                a = np.array(self.z, dtype=np.int64)
+                a = np.array(integer_array(value, "membership labels"))
+            else:
+                try:
+                    a = np.array(value, dtype=np.float64)
+                except (OverflowError, TypeError, ValueError):
+                    raise InvalidInputError(f"{f.name} must be an array of numbers") from None
             a.setflags(write=False)
             object.__setattr__(self, f.name, a)
         c, z, name = self.rates, self.z, type(self).__name__
@@ -63,10 +65,8 @@ class BlockModel:
             raise InvalidInputError(f"{name} rates must be symmetric")
         if (c < 0).any():
             raise InvalidInputError(f"{name} rates must be nonnegative")
-        if z.ndim != 1:
-            raise InvalidInputError("membership vector must be one-dimensional")
-        if ((z < 0) | (z >= self.k)).any():
-            raise InvalidInputError(f"labels must lie in [0, {self.k})")
+        if z.ndim != 1 or ((z < 0) | (z >= self.k)).any():
+            raise InvalidInputError(f"membership labels must be a one-dimensional vector in [0, {self.k})")
         if (empty := np.flatnonzero(np.bincount(z, minlength=self.k) == 0)).size:
             raise InvalidInputError(f"community {int(empty[0])} has no node")
 
@@ -128,17 +128,6 @@ class DcsbmParams(BlockModel):
     @property
     def weights(self) -> np.ndarray:
         return self.theta
-
-
-def block_sizes(p: BlockModel) -> np.ndarray:
-    return np.bincount(p.z, minlength=p.k)
-
-
-def membership_matrix(p: BlockModel) -> np.ndarray:
-    """N×K 0/1 indicator matrix with one 1 per row."""
-    m = np.zeros((p.n, p.k))
-    m[np.arange(p.n), p.z] = 1.0
-    return m
 
 
 def population_adjacency(p: BlockModel, check_probabilities: bool = False) -> np.ndarray:
@@ -348,13 +337,6 @@ def sbm_snr_preset(n: int, k: int, snr: float, target_avg_degree: float) -> SbmP
             f"n={n}, k={k}, snr={snr}, target degree {target_avg_degree}"
         )
     return SbmParams(z=z, b=p_off * pattern)
-
-
-def sbm_four_parameter(k: int, s: int, a: float, b: float) -> SbmParams:
-    """K blocks of size s, probability a within and b between blocks."""
-    z = np.repeat(np.arange(k), s)
-    mat = np.full((k, k), float(b)) + (float(a) - float(b)) * np.eye(k)
-    return SbmParams(z=z, b=mat)
 
 
 def dcsbm_powerlaw_preset(

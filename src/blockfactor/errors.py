@@ -1,11 +1,29 @@
-"""Exception hierarchy shared by all blockfactor modules."""
+"""Exception hierarchy and input-type checks shared by all blockfactor modules."""
 
 import numbers
+
+import numpy as np
 
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array, or InvalidInputError naming ``name``.
+    An int64 array comes back itself, unscanned, so callers must not write
+    to it.  Other input must hold integers within int64 in an integer or
+    float dtype: [0.0, 1.0] passes; 0.5, NaN, bools and strings do not."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        raise InvalidInputError(f"{name} must be integers") from None
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind in "uf" and (np.isfinite(a) & (np.floor(a) == a) & (np.abs(a) < 2**63)).all():
+        return a.astype(np.int64)
+    raise InvalidInputError(f"{name} must be integers")
 
 
 class BlockfactorError(Exception):

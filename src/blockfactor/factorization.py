@@ -30,17 +30,14 @@ from .errors import (
     NonFiniteUpdateError,
     is_integer,
 )
-from .graphs import as_matrix
+from .graphs import as_matrix, is_symmetric
 
 __all__ = [
     "SolverConfig",
     "Factorization",
     "snmf",
     "osntf",
-    "snmf_step",
-    "osntf_step",
     "assign_communities",
-    "osntf_objective",
     "ExactnessReport",
     "exactness_diagnostics",
     "frobenius_residual",
@@ -103,14 +100,6 @@ def _entries(x) -> np.ndarray:
     return x if isinstance(x, np.ndarray) else x.data
 
 
-def _is_symmetric(x) -> bool:
-    """Symmetric to within 1e-8 per entry; O(m) for CSR x."""
-    if isinstance(x, np.ndarray):
-        # exact equality implies the tolerance test and is several times cheaper
-        return np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)
-    return np.abs((x - x.T).data).max(initial=0.0) <= 1e-8
-
-
 def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
     """Shape, finiteness, symmetry and sign checks; ``x`` is dense or CSR
     (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
@@ -127,7 +116,7 @@ def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
     # whose norm overflows is left to the sweep loop's NonFiniteUpdateError.
     if not math.isfinite(x_sq) and not np.isfinite(entries).all():
         raise InvalidInputError("x must be finite (it has NaN or infinite entries)")
-    if not _is_symmetric(x):
+    if not is_symmetric(x):
         raise InvalidInputError("x must be symmetric")
     if entries.min(initial=0.0) < 0:
         raise InvalidInputError("x must be nonnegative")
@@ -188,11 +177,6 @@ def _snmf_update(xh: np.ndarray, h: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return h * (0.5 + 0.5 * (xh / denom))
 
 
-def snmf_step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One damped multiplicative sweep H <- H * (1/2 + (XH) / (2 H H^T H))."""
-    return _snmf_update(x @ h, h, h.T @ h)
-
-
 def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
     """Symmetric NMF of a nonnegative symmetric matrix.
 
@@ -213,12 +197,6 @@ def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray, p: tuple) -> tup
     h_den = h @ (h.T @ xhs) + _GUARD
     h = h * np.sqrt(xhs / h_den)
     return h, s
-
-
-def osntf_step(x: np.ndarray, h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One tri-factorization sweep: the S rule, then the H rule."""
-    xh, gram = x @ h, h.T @ h
-    return _osntf_update(xh, h, s, (gram, h.T @ xh, gram @ s @ gram))
 
 
 def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -291,26 +269,13 @@ def assign_communities(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[1] < 1:
         raise DimensionMismatchError("h must be an N x K matrix with K >= 1")
+    if (bad := np.flatnonzero(~np.isfinite(h).all(axis=1))).size:
+        raise InvalidInputError(f"row {int(bad[0])} of h is not finite")
     row_max = h.max(axis=1)
     dead = np.flatnonzero(row_max <= 0)
     if dead.size:
         raise AllZeroRowError(int(dead[0]))
     return h.argmax(axis=1).astype(np.int64)
-
-
-def osntf_objective(x, h: np.ndarray) -> float:
-    """||h^T x h||_F, the quantity the tri-factorization maximizes.
-
-    For h with orthonormal columns, minimizing ||x - h s h^T||_F with
-    s = h^T x h is equivalent to maximizing this value.
-    """
-    x = as_matrix(x)
-    h = np.asarray(h)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or h.ndim != 2 or h.shape[0] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"incompatible shapes x={x.shape}, h={h.shape}"
-        )
-    return float(np.linalg.norm(h.T @ (x @ h)))
 
 
 @dataclass(frozen=True)

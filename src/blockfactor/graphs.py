@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError
+from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError, integer_array, is_integer
 
 __all__ = [
     "Graph",
@@ -21,20 +21,25 @@ __all__ = [
     "normalized_laplacian",
     "largest_connected_component",
     "connected_components",
-    "is_connected",
     "induced_subgraph",
     "symmetrize_directed",
 ]
 
 
 def _pair_array(pairs) -> np.ndarray:
-    """Any iterable of (a, b) pairs, or an (m, 2) array, as a new (m, 2) int64 array."""
-    e = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    """Integer (a, b) pairs as an (m, 2) int64 array; an int64 array is not copied."""
+    e = integer_array(pairs if isinstance(pairs, np.ndarray) else list(pairs), "edge endpoints")
     if e.size == 0:
         return e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
         raise InvalidInputError(f"edges must be (i, j) pairs, got shape {e.shape}")
     return e
+
+
+def _node_count(n) -> int:
+    if not (is_integer(n) and n >= 0):
+        raise InvalidInputError(f"node count must be a nonnegative integer, got {n!r}")
+    return n
 
 
 # canonical edges are sorted by the int64 key i * n + j, which bounds n
@@ -73,9 +78,8 @@ class Graph:
     node_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidInputError("node count must be nonnegative")
-        e = _pair_array(self.edge_array)  # a fresh copy: the caller's array is never frozen
+        _node_count(self.n)
+        e = _pair_array(self.edge_array).copy()  # the caller's array is never frozen
         i, j = e.T
         bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
         if bad.size:
@@ -114,7 +118,7 @@ class Graph:
         Self loops are rejected, endpoints are reordered to i < j, and
         duplicates collapse.
         """
-        e = _pair_array(edges)
+        e, n = _pair_array(edges), _node_count(n)
         bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e < 0).any(axis=1) | (e >= n).any(axis=1))
         if bad.size:
             i, j = e[bad[0]].tolist()
@@ -127,12 +131,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_array)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as Python (i, j) pairs, built from ``edge_array`` on
-        each access (O(m) Python objects; nothing in this package reads it)."""
-        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def adjacency(self):
@@ -171,6 +169,15 @@ def as_matrix(x):
         x = x.copy()
         x.sum_duplicates()
     return x
+
+
+def is_symmetric(x) -> bool:
+    """Whether an ``as_matrix`` result is symmetric to within 1e-8 per
+    entry; O(m) for CSR x."""
+    if isinstance(x, np.ndarray):
+        # exact equality implies the tolerance test and is several times cheaper
+        return np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)
+    return np.abs((x - x.T).data).max(initial=0.0) <= 1e-8
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -218,10 +225,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, cuts)] if g.n else []
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n > 0 and bool((_component_roots(g) == 0).all())
-
-
 def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the largest component plus the old->new index map.
 
@@ -237,7 +240,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on the given nodes (kept in the given order) plus old->new map."""
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = integer_array(nodes, "node ids")
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
         raise InvalidInputError(f"node list has ids outside [0, {g.n})")
     if _sorted_unique(nodes).size != nodes.size:
@@ -264,8 +267,7 @@ def symmetrize_directed(
     given, endpoints outside [0, n) raise GraphParseError.
     """
     e = _pair_array(pairs)
-    if n is None:
-        n = 1 + int(e.max(initial=-1))
+    n = _node_count(1 + int(e.max(initial=-1)) if n is None else n)
     bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
     if bad.size:
         a, b = e[bad[0]].tolist()

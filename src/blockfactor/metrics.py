@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidInputError, LengthMismatchError, TooManyLabelsError
+from .errors import InvalidInputError, LengthMismatchError, TooManyLabelsError, integer_array
 
 __all__ = [
     "confusion_table",
@@ -18,11 +18,9 @@ MAX_EXACT_LABELS = 8
 
 
 def _as_labels(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 1:
-        raise InvalidInputError("partition must be a one-dimensional label vector")
-    if a.size and a.min() < 0:
-        raise InvalidInputError("labels must be nonnegative")
+    a = integer_array(a, "labels")
+    if a.ndim != 1 or (a.size and a.min() < 0):
+        raise InvalidInputError("a partition must be a one-dimensional vector of nonnegative labels")
     return a
 
 

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NoConvergenceError, is_integer
-from .graphs import Graph, _scaled_adjacency, as_matrix, degrees, normalized_laplacian
+from .errors import InvalidInputError, NoConvergenceError, integer_array, is_integer
+from .graphs import Graph, _scaled_adjacency, as_matrix, degrees, is_symmetric, normalized_laplacian
 
 __all__ = [
     "EigenPairs",
@@ -99,7 +99,8 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     vectors, returns every copy.
 
     Signs follow the convention that the first nonzero coordinate of each
-    eigenvector is positive, so repeated runs are comparable.
+    eigenvector is positive, so repeated runs are comparable.  A matrix not
+    finite, or not symmetric to 1e-8 per entry, raises InvalidInputError.
     """
     m = as_matrix(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -108,6 +109,10 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     if not (is_integer(k) and 1 <= k <= n):
         raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
     dense = isinstance(m, np.ndarray)
+    if not np.isfinite(m if dense else m.data).all():
+        raise InvalidInputError("matrix must be finite")
+    if not is_symmetric(m):
+        raise InvalidInputError("matrix must be symmetric")
     if not dense and n >= max(5 * k, _DENSE_EIGH_BELOW):
         pairs = _arpack_topk(m, k) if _irreducible_nonnegative(m) else None
         vals, vecs = pairs if pairs is not None else _lobpcg_topk(m, k)
@@ -450,9 +455,10 @@ def kmeans(
 
     Deterministic given the seed.  Degenerate inputs (fewer distinct
     points than k) may leave clusters empty; the surviving labels are
-    still valid in [0, k).  Raises InvalidInputError for points that are
-    not an N x D matrix with D >= 1, not finite, or whose squared
-    distances overflow.
+    still valid in [0, k); ``restarts`` below 1 runs one.  Raises
+    InvalidInputError for points that are not a finite N x D matrix with
+    D >= 1 or whose squared distances overflow, and for a non-integer
+    ``k``, ``restarts`` or ``max_iter``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] == 0:
@@ -460,6 +466,8 @@ def kmeans(
     n, d = points.shape
     if not (is_integer(k) and 1 <= k <= n):
         raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}] for {n} points")
+    if not (is_integer(restarts) and is_integer(max_iter)):
+        raise InvalidInputError(f"restarts={restarts!r} and max_iter={max_iter!r} must be integers")
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
     rng = np.random.default_rng(seed)
@@ -550,9 +558,9 @@ def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> 
     A positive offset keeps every entry strictly positive, which the
     multiplicative-update solvers require to avoid zero-locking.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= k:
-        raise InvalidInputError(f"labels must lie in [0, {k})")
+    labels = integer_array(labels, "labels")
+    if not (is_integer(k) and labels.ndim == 1 and labels.size and 0 <= labels.min() and labels.max() < k):
+        raise InvalidInputError(f"labels must be a nonempty vector in [0, k) for an integer k; got shape {labels.shape}, k={k!r}")
     h = np.full((labels.shape[0], k), float(offset))
     h[np.arange(labels.shape[0]), labels] += 1.0
     norms = np.linalg.norm(h, axis=0)

@@ -5,7 +5,7 @@ import pytest
 
 from blockfactor.datasets import DATASETS, data_dir, karate, load_dataset, polblogs
 from blockfactor.errors import InvalidInputError, MissingFixtureError
-from blockfactor.graphs import degrees, is_connected
+from blockfactor.graphs import connected_components, degrees
 
 
 class TestKarate:
@@ -18,7 +18,7 @@ class TestKarate:
 
     def test_connected(self):
         g, _ = karate()
-        assert is_connected(g)
+        assert len(connected_components(g)) == 1
         assert degrees(g).min() >= 1
 
 

@@ -1,10 +1,9 @@
-"""``Graph.edge_array`` is the only stored edge form: no library path reads
-``Graph.edges``, and equality, pickling and written files are unchanged."""
+"""``Graph.edge_array`` is the only edge form: ``Graph`` has no ``edges``
+attribute, and equality, pickling and written files are unchanged."""
 
 import pickle
 
 import numpy as np
-import pytest
 
 from blockfactor.bench import (
     METHODS,
@@ -35,38 +34,27 @@ def sampled_graphs():
     return out
 
 
-@pytest.fixture
-def no_edge_tuples(monkeypatch):
-    """Make any read of ``Graph.edges`` fail the test."""
-
-    def refuse(self):
-        raise AssertionError("Graph.edges was read")
-
-    monkeypatch.setattr(Graph, "edges", property(refuse))
-
-
 class TestNoTuplePath:
-    def test_sampling_components_and_methods(self, no_edge_tuples):
-        with pytest.raises(AssertionError):
-            Graph.from_edges(2, [(0, 1)]).edges
+    def test_sampling_components_and_methods(self):
+        assert not hasattr(Graph.from_edges(2, [(0, 1)]), "edges")
         for g, _ in sampled_graphs():
             outputs = run_methods(g, 2, METHODS, seed=0)
             assert all(out.labels.shape == (g.n,) for out in outputs)
 
-    def test_edgelist_round_trip(self, no_edge_tuples, tmp_path):
+    def test_edgelist_round_trip(self, tmp_path):
         for g, _ in sampled_graphs():
             path = tmp_path / "g.edges"
             save_edgelist(g, path)
             assert load_graph(path) == (g, None)
 
-    def test_gml_round_trip(self, no_edge_tuples, tmp_path):
+    def test_gml_round_trip(self, tmp_path):
         g, labels = karate()
         path = tmp_path / "karate.gml"
         save_gml(g, path, labels=labels)
         g2, labels2 = load_gml(path)
         assert g2 == g and np.array_equal(labels2, labels)
 
-    def test_simulation_and_spot_check(self, no_edge_tuples, tmp_path):
+    def test_simulation_and_spot_check(self, tmp_path):
         spec = ExperimentSpec(
             experiment="tiny", model="sbm", n=48, k=2, snr=4.0, avg_degree=[8.0, 12.0],
             sweep="avg_degree", methods=["osntf", "spectral"], replicates=2, base_seed=3,
@@ -80,11 +68,11 @@ class TestGraphValue:
     def test_equality(self):
         for g, _ in sampled_graphs():
             assert g == Graph(g.n, g.edge_array.copy())
-            assert g == Graph(g.n, g.edges)
+            assert g == Graph(g.n, g.edge_array.tolist())
             assert g != Graph(g.n + 1, g.edge_array)
             assert g != Graph(g.n, g.edge_array[1:])
             assert g != Graph(g.n, g.edge_array, tuple(map(str, range(g.n))))
-            assert g != g.edges  # a Graph equals only a Graph
+            assert g != g.edge_array.tolist()  # a Graph equals only a Graph
             assert hash(g) == hash(Graph(g.n, g.edge_array))
 
     def test_pickle_round_trip(self):
@@ -103,11 +91,6 @@ class TestGraphValue:
         assert g.edge_array.tolist() == [[0, 1], [1, 2]]
         assert not g.edge_array.flags.writeable
 
-    def test_edges_is_rebuilt_on_each_access(self):
-        g = Graph.from_edges(4, [(2, 1), (0, 3)])
-        assert g.edges == ((0, 3), (1, 2)) and g.edges is not g.edges
-        assert "edges" not in vars(g)
-
 
 class TestWrittenFiles:
     def test_edgelist_literal(self, tmp_path):
@@ -119,7 +102,7 @@ class TestWrittenFiles:
         for g, _ in sampled_graphs():
             path = tmp_path / "g.edges"
             save_edgelist(g, path)
-            expected = "".join(f"{i} {j}\n" for i, j in g.edges)
+            expected = "".join(f"{i} {j}\n" for i, j in g.edge_array.tolist())
             assert path.read_bytes() == expected.encode()
 
     def test_gml_literal(self, tmp_path):

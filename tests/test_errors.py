@@ -1,0 +1,67 @@
+"""One rule for integer-valued input, and typed errors for the matrices the
+eigensolver and ``assign_communities`` cannot use."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from blockfactor.errors import InvalidInputError, integer_array
+from blockfactor.factorization import assign_communities
+from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
+from blockfactor.metrics import misclustering_rate, nmi
+from blockfactor.spectral import kmeans, nmf_init_from_partition, sym_eigs_topk
+
+POINTS = np.random.default_rng(0).standard_normal((10, 2))
+PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
+CYCLE_WITH_NAN = sp.csr_array(np.roll(np.eye(200), 1, axis=1) + np.roll(np.eye(200), -1, axis=1))
+CYCLE_WITH_NAN.data[0] = np.nan  # large enough for the ARPACK path
+
+# each of these was silently truncated, or raised a bare numpy or scipy error
+BAD_INPUT = {
+    "fractional edge endpoint": lambda: Graph.from_edges(3, [(0.5, 1)]),
+    "fractional node count": lambda: Graph.from_edges(2.5, [(0, 1)]),
+    "string node count": lambda: Graph("3", [(0, 1)]),
+    "string node count in from_edges": lambda: Graph.from_edges("3", [(0, 1)]),
+    "fractional declared node count": lambda: symmetrize_directed([(0, 1)], n=1.5),
+    "fractional subgraph node": lambda: induced_subgraph(PATH, [0.5, 1]),
+    "fractional nmi labels": lambda: nmi([0.5, 1.2], [0, 1]),
+    "string misclustering labels": lambda: misclustering_rate(["a", "b"], [0, 1]),
+    "two-dimensional seeding labels": lambda: nmf_init_from_partition([[0, 1]], 3),
+    "empty seeding labels": lambda: nmf_init_from_partition([], 3),
+    "string seeding k": lambda: nmf_init_from_partition([0, 1], "x"),
+    "string restarts": lambda: kmeans(POINTS, 2, 0, restarts="x"),
+    "fractional restarts": lambda: kmeans(POINTS, 2, 0, restarts=2.5),
+    "string max_iter": lambda: kmeans(POINTS, 2, 0, max_iter="x"),
+    "fractional max_iter": lambda: kmeans(POINTS, 2, 0, max_iter=1.5),
+    "NaN in a CSR matrix": lambda: sym_eigs_topk(CYCLE_WITH_NAN, 2),
+    "NaN in a dense matrix": lambda: sym_eigs_topk(np.array([[np.nan, 1.0], [1.0, 0.0]]), 1),
+    "infinity in a dense matrix": lambda: sym_eigs_topk(np.array([[np.inf, 1.0], [1.0, 0.0]]), 1),
+    "upper-triangular matrix": lambda: sym_eigs_topk(np.triu(np.ones((4, 4))), 2),
+    "upper-triangular CSR matrix": lambda: sym_eigs_topk(sp.csr_array(np.triu(np.ones((4, 4)))), 2),
+    "NaN row of H": lambda: assign_communities([[np.nan, 1.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("make", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_a_typed_error(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+def test_integer_array_passes_int64_arrays_as_they_are():
+    a = np.arange(4)
+    assert integer_array(a, "x") is a
+    for values in ([0, 1], [0.0, 1.0], np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.uint64)):
+        b = integer_array(values, "x")
+        assert b.dtype == np.int64 and b.tolist() == [0, 1]
+    assert integer_array([], "x").shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5], [np.nan], [np.inf], [2.0**63], [True, False], ["1"], [[0], [1, 1]], [2**70],
+     np.array([2**63], dtype=np.uint64), [1 + 0j]],
+)
+def test_integer_array_refuses_what_is_not_an_integer(values):
+    with pytest.raises(InvalidInputError, match="x must be integers"):
+        integer_array(values, "x")

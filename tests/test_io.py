@@ -28,12 +28,12 @@ class TestEdgelist:
         p = tmp_path / "k3.txt"
         p.write_text("0 1\n1 2\n2 0\n")
         g = load_edgelist(p)
-        assert g.n == 3 and g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.n == 3 and g.edge_array.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("# header\n\n0 1  # trailing comment\n")
-        assert load_edgelist(p).edges == ((0, 1),)
+        assert load_edgelist(p).edge_array.tolist() == [[0, 1]]
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -90,7 +90,7 @@ class TestGml:
             'graph [ node [ id 10 value 1 label "a" ] node [ id 20 value 0 ] '
             "edge [ source 10 target 20 ] ]"
         )
-        assert g.n == 2 and g.edges == ((0, 1),)
+        assert g.n == 2 and g.edge_array.tolist() == [[0, 1]]
         assert labels.tolist() == [1, 0]
         assert g.node_names == ("a", "20")
 
@@ -99,7 +99,7 @@ class TestGml:
             'Creator "test" graph [ directed 0 sprawl 3.5 '
             "node [ id 0 w 2 ] node [ id 1 ] edge [ source 0 target 1 weight 7 ] ]"
         )
-        assert g.edges == ((0, 1),)
+        assert g.edge_array.tolist() == [[0, 1]]
 
     def test_nested_unknown_block_ignored(self):
         g, _ = parse_gml(
@@ -126,7 +126,7 @@ class TestGml:
             "graph [ directed 1 node [ id 0 ] node [ id 1 ] "
             "edge [ source 0 target 1 ] edge [ source 1 target 0 ] ]"
         )
-        assert g.edges == ((0, 1),)
+        assert g.edge_array.tolist() == [[0, 1]]
 
     def test_partial_values_become_minus_one(self):
         _, labels = parse_gml(
@@ -140,7 +140,7 @@ class TestGml:
         p = tmp_path / "g.gml"
         save_gml(g, p, labels=labels)
         g2, labels2 = load_gml(p)
-        assert g2.edges == g.edges
+        assert g2.edge_array.tolist() == g.edge_array.tolist()
         assert g2.node_names == g.node_names
         assert labels2.tolist() == [0, 1, -1]
 

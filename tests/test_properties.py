@@ -1,4 +1,4 @@
-"""Property tests of the file readers and of NMI, run deterministically
+"""Property tests of the file readers, NMI and the solvers, run deterministically
 (derandomized, a bounded number of examples, no example database)."""
 
 import json
@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockfactor.io
 from blockfactor.blockmodels import load_params
 from blockfactor.errors import BlockfactorError, GraphParseError, InvalidInputError
+from blockfactor.factorization import SolverConfig, osntf, snmf
 from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import load_labels, parse_gml, read_edge_pairs, save_gml
 from blockfactor.metrics import nmi
@@ -293,3 +295,34 @@ def test_nmi_is_symmetric_bounded_and_blind_to_label_names(pair, rename_a, renam
     # the sums run in another order, so agreement is to rounding
     assert nmi(b, a) == pytest.approx(value, rel=0, abs=1e-12)
     assert nmi(np.array(rename_a)[a], np.array(rename_b)[b]) == pytest.approx(value, rel=0, abs=1e-12)
+
+
+# ---- solvers ------------------------------------------------------------------
+
+# magnitudes from zero and subnormal up to where the updates overflow
+ENTRY = st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300]) | st.floats(0, 10)
+
+
+@st.composite
+def solver_problems(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    a = np.array(draw(st.lists(ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    x = np.triu(a) + np.triu(a, 1).T
+    h0 = np.array(draw(st.lists(st.floats(1e-6, 10), min_size=n * k, max_size=n * k))).reshape(n, k)
+    return (sp.csr_array(x) if draw(st.booleans()) else x), k, h0
+
+
+@DETERMINISTIC
+@given(solver_problems(), st.sampled_from([snmf, osntf]))
+def test_solvers_return_finite_nonnegative_factors_or_a_typed_error(problem, solver):
+    x, k, h0 = problem
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow is judged by the result
+            f = solver(x, k, h0, SolverConfig(max_iters=40))
+    except BlockfactorError:
+        return
+    for factor in (f.h, f.s if f.s is not None else f.h):
+        assert np.isfinite(factor).all() and factor.min() >= 0
+    assert np.isfinite(f.objective_trace).all()

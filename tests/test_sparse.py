@@ -22,7 +22,6 @@ from blockfactor.factorization import (
     exactness_diagnostics,
     frobenius_residual,
     osntf,
-    osntf_objective,
     snmf,
 )
 from blockfactor.graphs import Graph, degrees, largest_connected_component, normalized_laplacian
@@ -388,7 +387,6 @@ class TestCsrSolvers:
         dense_report = exactness_diagnostics(x.toarray(), f)
         assert sparse_report.relative_residual == pytest.approx(dense_report.relative_residual, rel=1e-8)
         assert sparse_report.row_sparsity == dense_report.row_sparsity
-        assert osntf_objective(x, f.h) == pytest.approx(osntf_objective(x.toarray(), f.h), rel=1e-12)
 
     def test_input_checks(self):
         x = sp.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
