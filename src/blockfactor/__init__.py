@@ -6,7 +6,6 @@ from .blockmodels import (
     DcsbmParams,
     SbmParams,
     dcsbm_powerlaw_preset,
-    expected_degrees,
     population_adjacency,
     population_laplacian,
     sample_graph,
@@ -57,7 +56,6 @@ __all__ = [
     "DcsbmParams",
     "population_adjacency",
     "population_laplacian",
-    "expected_degrees",
     "sample_graph",
     "sbm_snr_preset",
     "dcsbm_powerlaw_preset",

@@ -10,7 +10,6 @@ import contextlib
 import csv
 import io as _io
 import json
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from .blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from .datasets import load_dataset
-from .errors import BlockfactorError, InvalidInputError, is_integer
+from .errors import BlockfactorError, InvalidInputError, is_integer, is_real
 from .factorization import SolverConfig, assign_communities, osntf, snmf
 from .graphs import Graph, largest_connected_component, normalized_laplacian
 from .metrics import misclustering_rate, nmi
@@ -211,16 +210,15 @@ def run_method(g: Graph, k: int, method: str, seed, **options) -> MethodOutput:
     return run_methods(g, k, [method], seed, **options)[0]
 
 
-# The type of each numeric ExperimentSpec field, or of each item of it
-# when it is the swept list; bools are neither.
+# The type check of each numeric ExperimentSpec field, or of each swept value.
 _SPEC_FIELD_TYPES = {
-    "k": numbers.Integral,
-    "replicates": numbers.Integral,
-    "base_seed": numbers.Integral,
-    "n": numbers.Integral,
-    "snr": numbers.Real,
-    "avg_degree": numbers.Real,
-    "beta": numbers.Real,
+    "k": is_integer,
+    "replicates": is_integer,
+    "base_seed": is_integer,
+    "n": is_integer,
+    "snr": is_real,
+    "avg_degree": is_real,
+    "beta": is_real,
 }
 
 
@@ -271,8 +269,8 @@ class ExperimentSpec:
             if value is None and name == "beta":
                 continue  # sbm specs leave it out
             for v in value if name == self.sweep else [value]:
-                if isinstance(v, bool) or not isinstance(v, kind):
-                    noun = "an integer" if kind is numbers.Integral else "a number"
+                if not kind(v):
+                    noun = "an integer" if kind is is_integer else "a number"
                     raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
@@ -302,10 +300,6 @@ class ExperimentSpec:
             return cls(**json.loads(Path(path).read_text()))
         except (json.JSONDecodeError, TypeError) as exc:
             raise InvalidInputError(f"invalid experiment spec {path}: {exc}") from exc
-
-    def to_json(self, path) -> None:
-        doc = {k: v for k, v in self.__dict__.items() if v is not None}
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 @dataclass

@@ -1,18 +1,19 @@
 """SBM/DCSBM parameterizations, population matrices and graph sampling."""
 
-import json
 import warnings
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    DcsbmEntryOutOfRangeError,
     InfeasibleDegreeError,
     InvalidInputError,
     ZeroExpectedDegreeError,
+    float_array,
     integer_array,
+    is_integer,
+    is_real,
+    seeded_rng,
 )
 from .graphs import Graph
 
@@ -22,12 +23,9 @@ __all__ = [
     "DcsbmParams",
     "population_adjacency",
     "population_laplacian",
-    "expected_degrees",
     "sample_graph",
     "sbm_snr_preset",
     "dcsbm_powerlaw_preset",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -49,13 +47,7 @@ class BlockModel:
         for f in fields(self):
             value = getattr(self, f.name)
             # np.array copies, so the caller's array is never frozen
-            if f.name == "z":
-                a = np.array(integer_array(value, "membership labels"))
-            else:
-                try:
-                    a = np.array(value, dtype=np.float64)
-                except (OverflowError, TypeError, ValueError):
-                    raise InvalidInputError(f"{f.name} must be an array of numbers") from None
+            a = np.array(integer_array(value, "membership labels") if f.name == "z" else float_array(value, f.name))
             a.setflags(write=False)
             object.__setattr__(self, f.name, a)
         c, z, name = self.rates, self.z, type(self).__name__
@@ -130,31 +122,19 @@ class DcsbmParams(BlockModel):
         return self.theta
 
 
-def population_adjacency(p: BlockModel, check_probabilities: bool = False) -> np.ndarray:
+def population_adjacency(p: BlockModel) -> np.ndarray:
     """Expected adjacency matrix C[z_i, z_j] * (t_i * t_j) of the model (see
     ``BlockModel``); exactly symmetric, rank <= K.
 
-    DCSBM entries can exceed 1; pass check_probabilities=True to reject
-    such parameterizations when probability semantics are required.
+    DCSBM entries can exceed 1; ``sample_graph`` clips them and warns.
     """
     c, t = p.rates, p.weights
-    pop = c[p.z[:, None], p.z[None, :]] * (t[:, None] * t[None, :])
-    if check_probabilities and pop.max() > 1.0:
-        i, j = np.unravel_index(int(np.argmax(pop)), pop.shape)
-        raise DcsbmEntryOutOfRangeError(
-            f"population entry ({i}, {j}) = {pop[i, j]!r} exceeds 1"
-        )
-    return pop
+    return c[p.z[:, None], p.z[None, :]] * (t[:, None] * t[None, :])
 
 
 def _block_degrees(p: BlockModel) -> np.ndarray:
     """deg = C @ (t summed over each block); node i's expected degree is t_i * deg[z_i]."""
     return p.rates @ np.bincount(p.z, weights=p.weights, minlength=p.k)
-
-
-def expected_degrees(p: BlockModel) -> np.ndarray:
-    """Each node's expected degree t_i * deg[z_i] (see ``_block_degrees``), in O(n + K^2)."""
-    return p.weights * _block_degrees(p)[p.z]
 
 
 def population_laplacian(p: BlockModel) -> np.ndarray:
@@ -299,7 +279,7 @@ def sample_graph(p: BlockModel, seed) -> Graph:
     pairs = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
     bound = np.minimum(1.0, rates[block[a], block[b]] * (top[a] * top[b]))
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     seg, idx = _skip_positions(rng, pairs, bound)
     a, b = a[seg], b[seg]
     i, j = np.divmod(idx, sizes[b])
@@ -311,10 +291,14 @@ def sample_graph(p: BlockModel, seed) -> Graph:
     return Graph.from_edges(p.n, np.column_stack((i[keep], j[keep])))
 
 
-def _balanced_labels(n: int, k: int) -> np.ndarray:
+def _planted_partition(n, k, snr, target_avg_degree) -> tuple[np.ndarray, np.ndarray]:
+    """After the presets' shared checks, balanced labels z (larger blocks
+    first) and the K x K SNR pattern: 1 off the diagonal, snr on it."""
+    if not (is_integer(n) and is_integer(k) and 1 <= k <= n and is_real(snr) and snr >= 1 and is_real(target_avg_degree)):
+        raise InvalidInputError(f"need integers 1 <= k <= n, numbers snr >= 1 and degree, not {(n, k, snr, target_avg_degree)!r}")
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
-    return np.repeat(np.arange(k), sizes)
+    return np.repeat(np.arange(k), sizes), np.ones((k, k)) + (snr - 1.0) * np.eye(k)
 
 
 def sbm_snr_preset(n: int, k: int, snr: float, target_avg_degree: float) -> SbmParams:
@@ -324,11 +308,8 @@ def sbm_snr_preset(n: int, k: int, snr: float, target_avg_degree: float) -> SbmP
     scale solves sum(pop adjacency) / n == target_avg_degree, which is
     linear in the scale.
     """
-    if snr < 1:
-        raise InvalidInputError("snr must be >= 1 (diagonal at least off-diagonal)")
-    z = _balanced_labels(n, k)
+    z, pattern = _planted_partition(n, k, snr, target_avg_degree)
     sizes = np.bincount(z, minlength=k).astype(np.float64)
-    pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
     mass = float(sizes @ pattern @ sizes)
     p_off = target_avg_degree * n / mass
     if p_off * snr > 1.0:
@@ -361,21 +342,18 @@ def dcsbm_powerlaw_preset(
     position on, and a prefix sum of theta gives the unclipped rest.
     Deterministic given the seed.
     """
-    if beta <= 2:
-        raise InvalidInputError("beta must exceed 2 for a finite-mean power law")
-    if snr < 1:
-        raise InvalidInputError("snr must be >= 1")
+    z, pattern = _planted_partition(n, k, snr, target_avg_degree)
+    if not (is_real(beta) and beta > 2):
+        raise InvalidInputError(f"beta must be a number above 2 for a finite-mean power law, got {beta!r}")
     if target_avg_degree >= n:
         raise InfeasibleDegreeError(
             f"target degree {target_avg_degree} unreachable with {n} nodes"
         )
-    z = _balanced_labels(n, k)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     theta = rng.pareto(beta - 1.0, size=n) + 1.0
     for q in range(k):
         mask = z == q
         theta[mask] = theta[mask] / theta[mask].sum()
-    pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
 
     def clipped_mean(scale: float) -> float:
         return _clipped_mean_degree(z, theta, scale * pattern)
@@ -393,22 +371,3 @@ def dcsbm_powerlaw_preset(
             hi = mid
     return DcsbmParams(z=z, b_prime=hi * pattern, theta=theta)
 
-
-_MODELS = {"sbm": SbmParams, "dcsbm": DcsbmParams}
-
-
-def save_params(p: BlockModel, path) -> None:
-    """Write model parameters as JSON: the model's name, then each field."""
-    name = next(name for name, cls in _MODELS.items() if type(p) is cls)
-    doc = {"model": name} | {f.name: getattr(p, f.name).tolist() for f in fields(p)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_params(path) -> BlockModel:
-    """Inverse of ``save_params``.  A file that is not a JSON object naming a
-    known model and exactly its valid fields raises InvalidInputError."""
-    try:
-        doc = json.loads(Path(path).read_bytes())
-        return _MODELS[doc.pop("model")](**doc)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: not a block-model file ({type(exc).__name__}: {exc})") from None

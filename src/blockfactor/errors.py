@@ -10,6 +10,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def integer_array(values, name: str) -> np.ndarray:
     """``values`` as an int64 array, or InvalidInputError naming ``name``.
     An int64 array comes back itself, unscanned, so callers must not write
@@ -24,6 +29,23 @@ def integer_array(values, name: str) -> np.ndarray:
     if a.dtype.kind in "uf" and (np.isfinite(a) & (np.floor(a) == a) & (np.abs(a) < 2**63)).all():
         return a.astype(np.int64)
     raise InvalidInputError(f"{name} must be integers")
+
+
+def float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, or InvalidInputError naming ``name``; a
+    float64 array comes back itself, uncopied, so callers must not write to it."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be an array of numbers") from None
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, or InvalidInputError for a seed it refuses."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid seed {seed!r}: {exc}") from None
 
 
 class BlockfactorError(Exception):
@@ -69,10 +91,6 @@ class GraphParseError(BlockfactorError):
 
 class DanglingEdgeError(GraphParseError):
     """An edge references a node id that was never declared."""
-
-
-class DcsbmEntryOutOfRangeError(BlockfactorError):
-    """A DCSBM population entry exceeds 1 and cannot be a probability."""
 
 
 class ZeroExpectedDegreeError(BlockfactorError):

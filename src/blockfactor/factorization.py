@@ -17,7 +17,6 @@ product X H, which costs O(mk) for CSR X with m stored entries.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NonFiniteUpdateError,
+    float_array,
     is_integer,
+    is_real,
 )
 from .graphs import as_matrix, is_symmetric
 
@@ -65,7 +66,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (is_integer(self.max_iters) and self.max_iters > 0):
             raise InvalidInputError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not (isinstance(self.rel_tol, numbers.Real) and 0 <= self.rel_tol < 1):
+        if not (is_real(self.rel_tol) and 0 <= self.rel_tol < 1):
             raise InvalidInputError(f"rel_tol must be a number in [0, 1), got {self.rel_tol!r}")
 
 
@@ -227,7 +228,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
     0), and raises NonFiniteUpdateError as soon as one is not finite.
     """
     x = as_matrix(x)
-    h = np.array(h0, dtype=np.float64)
+    h = float_array(h0, "h0").copy()
     x_sq = float(np.vdot(_entries(x), _entries(x)))
     _check_solver_inputs(x, x_sq, k, h)
     # The identity's r^2 is off by up to about n k eps ||X||^2 (measured at
@@ -266,7 +267,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
 
 def assign_communities(h: np.ndarray) -> np.ndarray:
     """Each row goes to its largest entry; ties break to the smaller column."""
-    h = np.asarray(h)
+    h = float_array(h, "h")
     if h.ndim != 2 or h.shape[1] < 1:
         raise DimensionMismatchError("h must be an N x K matrix with K >= 1")
     if (bad := np.flatnonzero(~np.isfinite(h).all(axis=1))).size:
@@ -298,15 +299,18 @@ def exactness_diagnostics(
     rows whose second-largest entry is below the threshold times the
     largest) equals 1.0 there.  Iteratively solved factorizations
     approach that structure slowly; probe them with a looser threshold.
+    A non-finite H raises InvalidInputError.
     """
-    x = as_matrix(x)
-    residual = frobenius_residual(x, f.h, f.s)
+    x, h = as_matrix(x), float_array(f.h, "h")
+    if not np.isfinite(h).all():
+        raise InvalidInputError("h must be finite")
+    residual = frobenius_residual(x, h, f.s)
     norm_x = float(np.linalg.norm(_entries(x)))
-    drift = float(np.linalg.norm(f.h.T @ f.h - np.eye(f.h.shape[1])))
-    if f.h.shape[1] == 1:
-        sparse_rows = float(np.mean(f.h.max(axis=1) > 0))
+    drift = float(np.linalg.norm(h.T @ h - np.eye(h.shape[1])))
+    if h.shape[1] == 1:
+        sparse_rows = float(np.mean(h.max(axis=1) > 0))
     else:
-        ordered = np.sort(f.h, axis=1)
+        ordered = np.sort(h, axis=1)
         largest = ordered[:, -1]
         second = ordered[:, -2]
         sparse_rows = float(np.mean((largest > 0) & (second < sparsity_threshold * largest)))

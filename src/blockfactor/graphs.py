@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError, integer_array, is_integer
+from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError, float_array, integer_array, is_integer
 
 __all__ = [
     "Graph",
@@ -87,10 +87,13 @@ class Graph:
             raise InvalidInputError(f"edge ({i[b]}, {j[b]}) is not canonical for n={self.n}")
         if ((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))).any():
             raise InvalidInputError("edges must be sorted and unique")
-        if self.node_names is not None and len(self.node_names) != self.n:
-            raise InvalidInputError("node_names length must equal n")
         e.setflags(write=False)
         object.__setattr__(self, "edge_array", e)
+        if self.node_names is not None:
+            names = None if isinstance(self.node_names, str) else tuple(self.node_names)
+            if names is None or len(names) != self.n or not all(isinstance(name, str) for name in names):
+                raise InvalidInputError(f"node_names must be a sequence of {self.n} str, one per node")
+            object.__setattr__(self, "node_names", names)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -125,8 +128,7 @@ class Graph:
             if i == j:
                 raise InvalidInputError(f"self loop on node {i} not allowed")
             raise InvalidInputError(f"edge ({i}, {j}) out of range for n={n}")
-        names = tuple(node_names) if node_names is not None else None
-        return cls(n, _canonical_edges(e, n), names)
+        return cls(n, _canonical_edges(e, n), node_names)
 
     @property
     def num_edges(self) -> int:
@@ -163,7 +165,7 @@ def as_matrix(x):
     """
     sparse = sys.modules.get("scipy.sparse")
     if sparse is None or not sparse.issparse(x):
-        return np.asarray(x, dtype=np.float64)
+        return float_array(x, "matrix")
     x = sparse.csr_array(x, dtype=np.float64)
     if not x.has_canonical_format:
         x = x.copy()

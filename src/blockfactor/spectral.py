@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NoConvergenceError, integer_array, is_integer
+from .errors import InvalidInputError, NoConvergenceError, float_array, integer_array, is_integer, is_real, seeded_rng
 from .graphs import Graph, _scaled_adjacency, as_matrix, degrees, is_symmetric, normalized_laplacian
 
 __all__ = [
@@ -457,10 +457,10 @@ def kmeans(
     points than k) may leave clusters empty; the surviving labels are
     still valid in [0, k); ``restarts`` below 1 runs one.  Raises
     InvalidInputError for points that are not a finite N x D matrix with
-    D >= 1 or whose squared distances overflow, and for a non-integer
-    ``k``, ``restarts`` or ``max_iter``.
+    D >= 1 or whose squared distances overflow, for a non-integer
+    ``k``, ``restarts`` or ``max_iter``, and for a seed numpy refuses.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = float_array(points, "points")
     if points.ndim != 2 or points.shape[1] == 0:
         raise InvalidInputError("points must be an N x D matrix with D >= 1")
     n, d = points.shape
@@ -470,7 +470,7 @@ def kmeans(
         raise InvalidInputError(f"restarts={restarts!r} and max_iter={max_iter!r} must be integers")
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cols = np.ascontiguousarray(points.T)
     starts = np.stack([_plusplus_centroids(cols, k, rng) for _ in range(max(1, restarts))])
     block = max(1, _LLOYD_BLOCK_VALUES // (n * k * d))
@@ -494,7 +494,7 @@ def regularized_laplacian(g: Graph, tau: Optional[float] = None):
     d = degrees(g).astype(np.float64)
     if tau is None:
         tau = float(d.mean()) if g.n else 0.0
-    if not tau >= 0:
+    if not (is_real(tau) and tau >= 0):
         raise InvalidInputError(f"tau must be nonnegative, got {tau}")
     reg = d + tau
     # reg is 0 only on isolated nodes at tau = 0, whose weight never enters
@@ -559,8 +559,8 @@ def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> 
     multiplicative-update solvers require to avoid zero-locking.
     """
     labels = integer_array(labels, "labels")
-    if not (is_integer(k) and labels.ndim == 1 and labels.size and 0 <= labels.min() and labels.max() < k):
-        raise InvalidInputError(f"labels must be a nonempty vector in [0, k) for an integer k; got shape {labels.shape}, k={k!r}")
+    if not (is_integer(k) and is_real(offset) and labels.ndim == 1 and labels.size and 0 <= labels.min() and labels.max() < k):
+        raise InvalidInputError(f"need nonempty 1-D labels in [0, k), integer k, real offset: {labels.shape}, {k!r}, {offset!r}")
     h = np.full((labels.shape[0], k), float(offset))
     h[np.arange(labels.shape[0]), labels] += 1.0
     norms = np.linalg.norm(h, axis=0)

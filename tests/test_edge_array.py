@@ -74,6 +74,9 @@ class TestGraphValue:
             assert g != Graph(g.n, g.edge_array, tuple(map(str, range(g.n))))
             assert g != g.edge_array.tolist()  # a Graph equals only a Graph
             assert hash(g) == hash(Graph(g.n, g.edge_array))
+        listed = Graph(3, [(0, 1)], node_names=["a", "b", "c"])
+        assert listed == Graph(3, [(0, 1)], ("a", "b", "c"))
+        assert hash(listed) == hash(Graph(3, [(0, 1)], ("a", "b", "c")))
 
     def test_pickle_round_trip(self):
         for g, _ in sampled_graphs():

@@ -1,20 +1,24 @@
-"""One rule for integer-valued input, and typed errors for the matrices the
-eigensolver and ``assign_communities`` cannot use."""
+"""One rule each for integer-valued input, float-valued input, seeds and node
+names, and typed errors for the matrices the eigensolver and
+``assign_communities`` cannot use."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from blockfactor.blockmodels import SbmParams, dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from blockfactor.errors import InvalidInputError, integer_array
-from blockfactor.factorization import assign_communities
+from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, snmf
 from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
 from blockfactor.metrics import misclustering_rate, nmi
-from blockfactor.spectral import kmeans, nmf_init_from_partition, sym_eigs_topk
+from blockfactor.spectral import kmeans, nmf_init_from_partition, regularized_laplacian, sym_eigs_topk
 
 POINTS = np.random.default_rng(0).standard_normal((10, 2))
 PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
 CYCLE_WITH_NAN = sp.csr_array(np.roll(np.eye(200), 1, axis=1) + np.roll(np.eye(200), -1, axis=1))
 CYCLE_WITH_NAN.data[0] = np.nan  # large enough for the ARPACK path
+SBM = SbmParams(z=[0, 0, 1, 1], b=[[0.5, 0.1], [0.1, 0.5]])
+NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 
 # each of these was silently truncated, or raised a bare numpy or scipy error
 BAD_INPUT = {
@@ -39,6 +43,27 @@ BAD_INPUT = {
     "upper-triangular matrix": lambda: sym_eigs_topk(np.triu(np.ones((4, 4))), 2),
     "upper-triangular CSR matrix": lambda: sym_eigs_topk(sp.csr_array(np.triu(np.ones((4, 4)))), 2),
     "NaN row of H": lambda: assign_communities([[np.nan, 1.0], [1.0, 0.0]]),
+    "fractional preset n": lambda: sbm_snr_preset(2.5, 2, 3.0, 1.0),
+    "preset n of 0": lambda: sbm_snr_preset(0, 2, 3.0, 1.0),
+    "preset k of 0": lambda: sbm_snr_preset(10, 0, 3.0, 1.0),
+    "string preset k": lambda: sbm_snr_preset(10, "2", 3.0, 1.0),
+    "string preset snr": lambda: sbm_snr_preset(10, 2, "3", 1.0),
+    "float DCSBM preset k": lambda: dcsbm_powerlaw_preset(30, 2.0, 3.0, 5.0, 2.5, 0),
+    "string DCSBM preset beta": lambda: dcsbm_powerlaw_preset(30, 2, 3.0, 5.0, "x", 0),
+    "string solver matrix": lambda: snmf([["a"]], 1, np.ones((1, 1))),
+    "string solver start": lambda: snmf(np.eye(2), 1, [["a"], ["b"]]),
+    "string k-means points": lambda: kmeans([["a"]], 1, 0),
+    "string residual matrix": lambda: frobenius_residual([["a"]], np.ones((1, 1))),
+    "string eigensolver matrix": lambda: sym_eigs_topk([["a"]], 1),
+    "string H": lambda: assign_communities([["a", "b"]]),
+    "string tau": lambda: regularized_laplacian(PATH, tau="x"),
+    "string seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset="x"),
+    "string sampling seed": lambda: sample_graph(SBM, seed="x"),
+    "string k-means seed": lambda: kmeans(POINTS, 2, "x"),
+    "NaN row of H in the diagnostics": lambda: exactness_diagnostics(np.eye(2), NAN_ROW),
+    "node names as one string": lambda: Graph(3, [(0, 1)], node_names="abc"),
+    "integer node names": lambda: Graph(3, [(0, 1)], node_names=[1, 2, 3]),
+    "node names as one string in from_edges": lambda: Graph.from_edges(3, [(0, 1)], node_names="abc"),
 }
 
 

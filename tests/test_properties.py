@@ -1,7 +1,6 @@
 """Property tests of the file readers, NMI and the solvers, run deterministically
 (derandomized, a bounded number of examples, no example database)."""
 
-import json
 import warnings
 
 import numpy as np
@@ -11,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockfactor.io
-from blockfactor.blockmodels import load_params
-from blockfactor.errors import BlockfactorError, GraphParseError, InvalidInputError
+from blockfactor.errors import BlockfactorError, GraphParseError
 from blockfactor.factorization import SolverConfig, osntf, snmf
 from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import load_labels, parse_gml, read_edge_pairs, save_gml
@@ -85,47 +83,6 @@ def test_save_gml_then_parse_keeps_edges_names_and_labels(tmp_path_factory, case
         assert back_labels is None
     else:
         assert back_labels.tolist() == labels.tolist()
-
-
-MALFORMED_PARAMS = {
-    "not JSON": "{",
-    "a JSON array": "[1, 2]",
-    "no model": json.dumps({"z": [0, 1], "b": [[0.5, 0.1], [0.1, 0.5]]}),
-    "an unknown model": json.dumps({"model": "mmsb", "z": [0, 1]}),
-    "a missing field": json.dumps({"model": "dcsbm", "z": [0, 1], "b_prime": [[1.0]]}),
-    "an unknown field": json.dumps({"model": "sbm", "z": [0], "b": [[0.5]], "c": 1}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
-def test_load_params_rejects_malformed_file(tmp_path, case):
-    path = tmp_path / "params.json"
-    path.write_text(MALFORMED_PARAMS[case])
-    with pytest.raises(InvalidInputError, match="not a block-model file"):
-        load_params(path)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12,
-)
-PARAM_DOCS = st.dictionaries(
-    st.sampled_from(["model", "z", "b", "b_prime", "theta", "x"]),
-    st.sampled_from(["sbm", "dcsbm"]) | JSON_VALUES,
-    max_size=5,
-)
-
-
-@DETERMINISTIC
-@given(PARAM_DOCS | JSON_VALUES)
-def test_load_params_raises_only_invalid_input(tmp_path_factory, doc):
-    path = tmp_path_factory.getbasetemp() / "fuzzed_params.json"
-    path.write_text(json.dumps(doc))
-    try:
-        load_params(path)
-    except InvalidInputError:
-        pass
 
 
 # ---- the edge-list and label readers against frozen copies of their line loops ----
