@@ -92,11 +92,10 @@ class _SharedStages:
     eigensolve and both NMF targets use it, and as CSR it is O(m).
     """
 
-    def __init__(self, g: Graph, k: int, seed, tau: Optional[float]):
+    def __init__(self, g: Graph, k: int, seed):
         self.g = g
         self.k = k
         self.seed = seed
-        self.tau = tau
         self._done: dict[tuple, tuple[np.ndarray, float]] = {}
 
     def _stage(self, key: tuple, compute) -> tuple[np.ndarray, float]:
@@ -118,7 +117,7 @@ class _SharedStages:
             vectors, eigs_s = self._stage((matrix,), lambda: sym_eigs_topk(lap, self.k).vectors)
             eigs_s += build_s
         else:
-            vectors, eigs_s = self._stage((matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix, tau=self.tau))
+            vectors, eigs_s = self._stage((matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix))
         labels, kmeans_s = self._stage(
             (matrix, unit),
             lambda: kmeans(unit_rows(vectors) if unit else vectors, self.k, seed=self.seed),
@@ -126,41 +125,32 @@ class _SharedStages:
         return labels, eigs_s + kmeans_s
 
 
-def _check_methods_and_matrix(methods: Sequence[str], matrix: str):
+def _check_methods(methods: Sequence[str]):
     for method in methods:
         if method not in METHODS:
             raise InvalidInputError(f"unknown method {method!r}; choose from {METHODS}")
-    if matrix not in ("laplacian", "adjacency"):
-        raise InvalidInputError(f"matrix must be 'laplacian' or 'adjacency', got {matrix!r}")
 
 
-def _check_method_options(g: Graph, k: int, methods: Sequence[str], matrix: str, init: str):
-    _check_methods_and_matrix(methods, matrix)
-    if init not in ("reg-spectral", "spectral"):
-        raise InvalidInputError(f"init must be 'reg-spectral' or 'spectral', got {init!r}")
+def _check_method_options(g: Graph, k: int, methods: Sequence[str]):
+    _check_methods(methods)
     if not (is_integer(k) and 1 <= k <= g.n):
         raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
 
 
-def _run_one(stages: _SharedStages, method: str, matrix: str, cfg: SolverConfig, init: str):
-    """One method on the shared graph.
+def _run_one(stages: _SharedStages, method: str, cfg: SolverConfig):
+    """One method on the shared graph: a spectral method's own partition,
+    or an NMF method's factorization of L from the "reg-spectral" partition.
 
     The partition and L, computed here or reused, are charged at their
     recorded cost.
     """
-    if method in _SPECTRAL:
-        embedding = _SPECTRAL[method]
-    elif init == "reg-spectral":
-        embedding = _SPECTRAL["reg-spectral"]
-    else:
-        embedding = (matrix, False)  # the target's own top-k eigenvectors
-    labels, shared_s = stages.partition(*embedding)
+    labels, shared_s = stages.partition(*_SPECTRAL.get(method, _SPECTRAL["reg-spectral"]))
     start = time.perf_counter()
     if method in _SPECTRAL:
         out = MethodOutput(labels=labels)
     else:
-        g, k = stages.g, stages.k
-        x, build_s = stages.laplacian() if matrix == "laplacian" else (g.adjacency, 0.0)
+        k = stages.k
+        x, build_s = stages.laplacian()
         shared_s += build_s
         h0 = nmf_init_from_partition(labels, k)
         f = snmf(x, k, h0, cfg) if method == "snmf" else osntf(x, k, h0, cfg)
@@ -180,34 +170,28 @@ def run_methods(
     k: int,
     methods: Sequence[str],
     seed,
-    matrix: str = "laplacian",
     cfg: SolverConfig = SolverConfig(),
-    init: str = "reg-spectral",
-    tau: Optional[float] = None,
 ) -> list[MethodOutput]:
     """Run community-detection methods on one graph, one output per method.
 
-    ``matrix`` selects the factorization target for the NMF methods
-    (the spectral baselines are defined on the Laplacian regardless);
-    ``init`` picks the seeding partition for the NMF methods, either
-    "spectral" (on the same matrix being factorized) or "reg-spectral".
+    The NMF methods factorize the normalized Laplacian L, starting from
+    the partition that "reg-spectral" outputs (tau the average degree);
+    ``cfg`` bounds their solves.
 
     The methods share their spectral stages: each graph matrix's top-k
     eigensolve and each k-means partition is computed at most once, so
-    "spectral-wp" reuses the L_tau eigenvectors of "reg-spectral", and the
-    NMF methods start from the partition that "reg-spectral" (or, for
-    ``init="spectral"`` on the Laplacian, "spectral") outputs.  Every
-    argument is checked before any of that work starts.
+    "spectral-wp" and the NMF methods reuse the L_tau eigenvectors of
+    "reg-spectral".  Every argument is checked before any of that work
+    starts.
     """
-    _check_method_options(g, k, methods, matrix, init)
-    stages = _SharedStages(g, k, seed, tau)
-    return [_run_one(stages, method, matrix, cfg, init) for method in methods]
+    _check_method_options(g, k, methods)
+    stages = _SharedStages(g, k, seed)
+    return [_run_one(stages, method, cfg) for method in methods]
 
 
-def run_method(g: Graph, k: int, method: str, seed, **options) -> MethodOutput:
-    """Run one community-detection method on a graph; ``options`` are
-    ``run_methods``'s ``matrix``, ``cfg``, ``init`` and ``tau``."""
-    return run_methods(g, k, [method], seed, **options)[0]
+def run_method(g: Graph, k: int, method: str, seed, cfg: SolverConfig = SolverConfig()) -> MethodOutput:
+    """Run one community-detection method on a graph, as ``run_methods`` does."""
+    return run_methods(g, k, [method], seed, cfg)[0]
 
 
 # The type check of each numeric ExperimentSpec field, or of each swept value.
@@ -244,7 +228,6 @@ class ExperimentSpec:
     beta: object = None
     replicates: int = 32
     base_seed: int = 0
-    matrix: str = "laplacian"
     spec_version: int = 1
 
     def __post_init__(self):
@@ -274,7 +257,7 @@ class ExperimentSpec:
                     raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
-        _check_methods_and_matrix(self.methods, self.matrix)
+        _check_methods(self.methods)
 
     @property
     def sweep_values(self) -> list:
@@ -340,9 +323,7 @@ def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRo
     """All methods on one sampled graph, sharing its spectral stages."""
     seed = spec.base_seed + rep
     g_lcc, truth = _cell_graph(spec, sweep_value, seed)
-    outputs = run_methods(
-        g_lcc, spec.k, spec.methods, seed=[seed, _STREAM_KMEANS], matrix=spec.matrix
-    )
+    outputs = run_methods(g_lcc, spec.k, spec.methods, seed=[seed, _STREAM_KMEANS])
     rows = []
     for method, out in zip(spec.methods, outputs):
         rate, _ = misclustering_rate(truth, out.labels)
@@ -474,13 +455,12 @@ def realdata_table(
     methods: Sequence[str] = ("snmf", "osntf", "spectral", "reg-spectral"),
     seed=0,
     k: int = 2,
-    tau: Optional[float] = None,
     nmi_variant: str = "sum",
 ) -> list[dict]:
     """Per-method misclustered count and NMI on a benchmark dataset."""
     g, truth = load_dataset(dataset)
     out = []
-    for method, res in zip(methods, run_methods(g, k, methods, seed=seed, tau=tau)):
+    for method, res in zip(methods, run_methods(g, k, methods, seed=seed)):
         rate, _ = misclustering_rate(truth, res.labels)
         out.append(
             {

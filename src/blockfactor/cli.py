@@ -16,12 +16,6 @@ from .io import load_graph, save_labels
 from .metrics import misclustering_rate, nmi
 
 
-def _add_common_method_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float, default=None,
-                   help="regularizer for the regularized variants (default: average degree)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockfactor",
@@ -34,10 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact.add_argument("graph", help="edge list or GML file")
     p_fact.add_argument("--k", type=int, required=True)
     p_fact.add_argument("--method", choices=bench.METHODS, default="osntf")
-    p_fact.add_argument("--init", choices=["reg-spectral", "spectral"], default="reg-spectral")
     p_fact.add_argument("--out", default=None, help="labels file (default: stdout)")
-    p_fact.add_argument("--matrix", choices=["laplacian", "adjacency"], default="laplacian")
-    _add_common_method_flags(p_fact)
+    p_fact.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="run a simulation sweep from a JSON spec")
     p_sim.add_argument("spec", help="experiment spec (JSON)")
@@ -57,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--nmi-variant", choices=["sum", "avg", "sqrt", "max", "min"],
                         default="sum")
     p_real.add_argument("--out", default=None, help="also write the table as CSV")
-    _add_common_method_flags(p_real)
+    p_real.add_argument("--seed", type=int, default=0)
 
     p_win = sub.add_parser("winners", help="best-method counts from simulate CSVs")
     p_win.add_argument("csvs", nargs="+", help="CSV files produced by simulate")
@@ -66,15 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factorize(args) -> int:
     g, truth = load_graph(args.graph)
-    out = bench.run_method(
-        g, args.k, args.method, seed=args.seed, matrix=args.matrix, init=args.init, tau=args.tau
-    )
+    out = bench.run_method(g, args.k, args.method, seed=args.seed)
     if args.out:
         save_labels(out.labels, args.out, names=g.node_names)
     else:
         for i, lab in enumerate(out.labels):
             print(int(lab) if g.node_names is None else f"{g.node_names[i]}\t{int(lab)}")
-    print(f"# method={args.method} matrix={args.matrix} n={g.n} k={args.k}", file=sys.stderr)
+    print(f"# method={args.method} n={g.n} k={args.k}", file=sys.stderr)
     if out.iterations:
         print(
             f"# iterations={out.iterations} residual={out.residual:.6g}"
@@ -116,8 +106,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_realdata(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = bench.realdata_table(
-        args.dataset, methods=methods, seed=args.seed, k=args.k,
-        tau=args.tau, nmi_variant=args.nmi_variant,
+        args.dataset, methods=methods, seed=args.seed, k=args.k, nmi_variant=args.nmi_variant,
     )
     print(bench.format_realdata_table(rows))
     if args.out:

@@ -33,11 +33,15 @@ def integer_array(values, name: str) -> np.ndarray:
 
 def float_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array, or InvalidInputError naming ``name``; a
-    float64 array comes back itself, uncopied, so callers must not write to it."""
+    float64 array comes back itself, uncopied, so callers must not write to it.
+    Complex input is refused, since the cast would drop its imaginary part."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        a = np.asarray(values)
+        if a.dtype.kind != "c":
+            return a.astype(np.float64, copy=False)
     except (OverflowError, TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be an array of numbers") from None
+        pass
+    raise InvalidInputError(f"{name} must be an array of real numbers")
 
 
 def seeded_rng(seed) -> np.random.Generator:

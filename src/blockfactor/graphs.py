@@ -90,7 +90,8 @@ class Graph:
         e.setflags(write=False)
         object.__setattr__(self, "edge_array", e)
         if self.node_names is not None:
-            names = None if isinstance(self.node_names, str) else tuple(self.node_names)
+            iterable = isinstance(self.node_names, Iterable) and not isinstance(self.node_names, str)
+            names = tuple(self.node_names) if iterable else None
             if names is None or len(names) != self.n or not all(isinstance(name, str) for name in names):
                 raise InvalidInputError(f"node_names must be a sequence of {self.n} str, one per node")
             object.__setattr__(self, "node_names", names)
@@ -166,6 +167,8 @@ def as_matrix(x):
     sparse = sys.modules.get("scipy.sparse")
     if sparse is None or not sparse.issparse(x):
         return float_array(x, "matrix")
+    if x.dtype.kind == "c":  # the cast would drop the imaginary part
+        raise InvalidInputError("matrix must be an array of real numbers")
     x = sparse.csr_array(x, dtype=np.float64)
     if not x.has_canonical_format:
         x = x.copy()

@@ -501,21 +501,16 @@ def regularized_laplacian(g: Graph, tau: Optional[float] = None):
     return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
 
 
-def graph_eigenvectors(
-    g: Graph, k: int, matrix: str = "laplacian", tau: Optional[float] = None
-) -> np.ndarray:
-    """The n x k top eigenvectors of one of the graph's matrices.
+def graph_eigenvectors(g: Graph, k: int, matrix: str = "laplacian") -> np.ndarray:
+    """The n x k top eigenvectors of one of the graph's Laplacians.
 
-    matrix: "laplacian" (L), "regularized" (L_tau, with ``tau`` as in
-    ``regularized_laplacian``) or "adjacency" (A).  The CSR matrix is
-    built and dropped inside the call.
+    matrix: "laplacian" (L) or "regularized" (L_tau, tau the average
+    degree).  The CSR matrix is built and dropped inside the call.
     """
     if matrix == "laplacian":
         m = normalized_laplacian(g)
     elif matrix == "regularized":
-        m = regularized_laplacian(g, tau=tau)
-    elif matrix == "adjacency":
-        m = g.adjacency
+        m = regularized_laplacian(g)
     else:
         raise InvalidInputError(f"unknown graph matrix {matrix!r}")
     return sym_eigs_topk(m, k).vectors

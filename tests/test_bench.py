@@ -95,7 +95,6 @@ class TestExperimentSpec:
             dict(n=[10, 20]),
             dict(replicates=0),
             dict(methods=["osntf", "louvain"]),
-            dict(matrix="dense"),
         ],
     )
     def test_bad_spec_is_typed(self, overrides):
@@ -152,13 +151,11 @@ class TestExperimentSpec:
         assert spec.k == 2 and spec.sweep_values == [8, 12]
         assert tiny_spec(model="dcsbm", sweep="n", n=[48, 64], avg_degree=8, beta=2).beta == 2
 
-    @pytest.mark.parametrize("bad", [dict(methods=["louvain"]), dict(matrix="dense")])
-    def test_spec_and_runner_share_checks(self, bad):
+    def test_spec_and_runner_share_checks(self):
         with pytest.raises(InvalidInputError) as from_spec:
-            tiny_spec(**bad)
-        options = {"methods": ["osntf"], "matrix": "laplacian", **bad}
+            tiny_spec(methods=["louvain"])
         with pytest.raises(InvalidInputError) as from_runner:
-            run_methods(karate()[0], 2, options["methods"], seed=0, matrix=options["matrix"])
+            run_methods(karate()[0], 2, ["louvain"], seed=0)
         assert str(from_spec.value) == str(from_runner.value)
 
 
@@ -302,28 +299,12 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method(g, 2, "bogus", seed=0)
 
-    def test_unknown_matrix(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        with pytest.raises(ValueError):
-            run_method(g, 2, "snmf", seed=0, matrix="modularity")
-
     def test_spectral_methods_use_the_spectral_variants(self):
         assert bench._SPECTRAL == {
             "spectral": spectral.VARIANTS["plain"],
             "reg-spectral": spectral.VARIANTS["regularized"],
             "spectral-wp": spectral.VARIANTS["regularized_no_projection"],
         }
-
-    @pytest.mark.parametrize("bad", [dict(matrix="modularity"), dict(init="random")])
-    def test_bad_option_fails_before_any_work(self, monkeypatch, bad):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("work started before the options were checked")
-
-        for name in ("normalized_laplacian", "spectral_clustering", "sym_eigs_topk"):
-            monkeypatch.setattr(bench, name, forbidden)
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        with pytest.raises(ValueError):
-            run_method(g, 2, "snmf", seed=0, **bad)
 
     def test_target_built_after_reg_spectral_partition(self, monkeypatch):
         # the dense target and the partition's own dense matrices never coexist
@@ -336,43 +317,15 @@ class TestRunMethod:
         run_method(g, 2, "osntf", seed=0)
         assert calls == ["regularized_laplacian", "kmeans", "normalized_laplacian"]
 
-    def test_spectral_init_factorizes_the_laplacian_it_partitioned(self, monkeypatch):
-        calls = []
-        for module in (bench, spectral):
-            for name in ("sym_eigs_topk", "normalized_laplacian"):
-                monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
-        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        run_method(g, 2, "snmf", seed=0, init="spectral")
-        assert calls == ["normalized_laplacian", "sym_eigs_topk"]
-
-    def test_adjacency_matrix_path(self):
-        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        out = run_method(g, 2, "osntf", seed=0, matrix="adjacency")
-        assert out.labels.shape == (6,)
-        assert out.residual is not None
-
-    def test_adjacency_target_not_kept_on_the_graph(self):
-        g, _ = karate()
-        out = run_method(g, 2, "osntf", seed=0, matrix="adjacency")
-        assert "adjacency" not in g.__dict__
-        x = g.adjacency.toarray()
-        h0 = nmf_init_from_partition(spectral_clustering(g, 2, "regularized", seed=0), 2)
-        assert np.array_equal(out.labels, assign_communities(osntf(x, 2, h0).h))
-
-    def test_spectral_init_path(self):
-        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        out = run_method(g, 2, "snmf", seed=0, init="spectral")
-        assert out.iterations > 0
 
 
 class TestReportedResidual:
     """The reported residual is the solve's last trace entry, which for the
     CSR targets run_method builds is frobenius_residual's value bit for bit."""
 
-    @pytest.mark.parametrize("matrix", ["laplacian", "adjacency"])
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
     @pytest.mark.parametrize("graph", ["karate", "sbm"])
-    def test_equals_frobenius_residual(self, graph, method, matrix):
+    def test_equals_frobenius_residual(self, graph, method):
         if graph == "karate":
             g, _ = karate()
             k = 2
@@ -381,8 +334,8 @@ class TestReportedResidual:
                 sample_graph(sbm_snr_preset(300, 3, 4.0, 12.0), seed=[3, 1])
             )
             k = 3
-        out = run_method(g, k, method, seed=0, matrix=matrix)
-        x = normalized_laplacian(g) if matrix == "laplacian" else g.adjacency
+        out = run_method(g, k, method, seed=0)
+        x = normalized_laplacian(g)
         h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
         f = (snmf if method == "snmf" else osntf)(x, k, h0)
         assert np.array_equal(out.labels, assign_communities(f.h))
@@ -433,34 +386,24 @@ def same_output(a, b) -> bool:
     )
 
 
-SHARED_OPTIONS = [
-    {},
-    {"matrix": "adjacency"},
-    {"init": "spectral"},
-    {"matrix": "adjacency", "init": "spectral"},
-]
-
-
 @pytest.mark.filterwarnings("ignore:clipped")
 class TestRunMethods:
     """run_methods shares each eigensolve and partition; its outputs must not show it."""
 
     @pytest.mark.parametrize("make_graph", [sbm_graph, dcsbm_graph])
-    @pytest.mark.parametrize("options", SHARED_OPTIONS)
-    def test_matches_independent_run_method_calls(self, make_graph, options):
+    def test_matches_independent_run_method_calls(self, make_graph):
         g = make_graph()
         cfg = SolverConfig(max_iters=60)
-        shared = run_methods(g, 3, METHODS, seed=[9, 2], cfg=cfg, **options)
+        shared = run_methods(g, 3, METHODS, seed=[9, 2], cfg=cfg)
         for method, out in zip(METHODS, shared):
-            alone = run_method(g, 3, method, seed=[9, 2], cfg=cfg, **options)
+            alone = run_method(g, 3, method, seed=[9, 2], cfg=cfg)
             assert same_output(out, alone), method
 
-    @pytest.mark.parametrize("options", SHARED_OPTIONS)
-    def test_method_order_does_not_matter(self, options):
+    def test_method_order_does_not_matter(self):
         g = dcsbm_graph()
         cfg = SolverConfig(max_iters=60)
-        forward = run_methods(g, 3, METHODS, seed=1, cfg=cfg, **options)
-        backward = run_methods(g, 3, METHODS[::-1], seed=1, cfg=cfg, **options)
+        forward = run_methods(g, 3, METHODS, seed=1, cfg=cfg)
+        backward = run_methods(g, 3, METHODS[::-1], seed=1, cfg=cfg)
         for a, b in zip(forward, backward[::-1]):
             assert same_output(a, b)
 
@@ -487,23 +430,20 @@ class TestRunMethods:
         assert calls.count("sym_eigs_topk") == eigs
         assert calls.count("kmeans") == partitions
 
-    @pytest.mark.parametrize("options", SHARED_OPTIONS)
-    def test_one_laplacian_per_graph(self, monkeypatch, options):
+    def test_one_laplacian_per_graph(self, monkeypatch):
         calls = []
         for module in (bench, spectral):
             monkeypatch.setattr(module, "normalized_laplacian",
                                 recording(module.normalized_laplacian, "normalized_laplacian", calls))
-        run_methods(sbm_graph(), 3, METHODS, seed=0, cfg=SolverConfig(max_iters=5), **options)
+        run_methods(sbm_graph(), 3, METHODS, seed=0, cfg=SolverConfig(max_iters=5))
         assert calls == ["normalized_laplacian"]
 
-    @pytest.mark.parametrize("options", SHARED_OPTIONS)
-    def test_cache_holds_no_dense_n_by_n_array(self, options):
+    def test_cache_holds_no_dense_n_by_n_array(self):
         g = sbm_graph()
-        stages = bench._SharedStages(g, 3, seed=0, tau=None)
+        stages = bench._SharedStages(g, 3, seed=0)
         cfg = SolverConfig(max_iters=20)
         for method in METHODS:
-            bench._run_one(stages, method, options.get("matrix", "laplacian"), cfg,
-                           options.get("init", "reg-spectral"))
+            bench._run_one(stages, method, cfg)
         kept = [value for value, _ in stages._done.values()]
         kept += [v for v in vars(stages).values() if isinstance(v, np.ndarray)]
         assert kept

@@ -95,11 +95,6 @@ class TestFactorize:
         assert main(["factorize", str(path), "--k", "2"]) == 2
         assert "error: line 2:" in capsys.readouterr().err
 
-    def test_negative_tau_errors(self, k3_file, capsys):
-        argv = ["factorize", str(k3_file), "--k", "2", "--method", "reg-spectral", "--tau", "-3"]
-        assert main(argv) == 2
-        assert "tau" in capsys.readouterr().err
-
 
 class TestSimulate:
     def test_deterministic_csv_bytes(self, spec_file, tmp_path, capsys):
@@ -148,15 +143,19 @@ class TestRealdataCommand:
         assert main(["realdata", "polblogs"]) == 2
         assert "fetch" in capsys.readouterr().err
 
-    def test_matrix_is_a_factorize_flag_only(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realdata", "karate", "--matrix", "adjacency"],
+            ["factorize", "graph.txt", "--k", "2", "--matrix", "adjacency"],
+            ["factorize", "graph.txt", "--k", "2", "--init", "spectral"],
+            ["factorize", "graph.txt", "--k", "2", "--tau", "1"],
+            ["realdata", "karate", "--tau", "1"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_deleted_method_flags_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["realdata", "karate", "--matrix", "adjacency"])
+            main(argv)
         assert exc.value.code == 2
-        assert "--matrix" in capsys.readouterr().err
-
-    def test_factorize_takes_the_matrix_flag(self, capsys):
-        from blockfactor.datasets import data_dir
-
-        gml = data_dir() / "karate.gml"
-        assert main(["factorize", str(gml), "--k", "2", "--matrix", "adjacency"]) == 0
-        assert "matrix=adjacency" in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err

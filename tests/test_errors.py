@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from blockfactor.blockmodels import SbmParams, dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
-from blockfactor.errors import InvalidInputError, integer_array
+from blockfactor.errors import InvalidInputError, float_array, integer_array
 from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, snmf
 from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
 from blockfactor.metrics import misclustering_rate, nmi
@@ -64,6 +64,10 @@ BAD_INPUT = {
     "node names as one string": lambda: Graph(3, [(0, 1)], node_names="abc"),
     "integer node names": lambda: Graph(3, [(0, 1)], node_names=[1, 2, 3]),
     "node names as one string in from_edges": lambda: Graph.from_edges(3, [(0, 1)], node_names="abc"),
+    "node names as one integer": lambda: Graph(3, [(0, 1)], node_names=5),
+    "complex solver matrix": lambda: snmf(np.array([[0, 1j], [1j, 0]]), 1, np.ones((2, 1))),
+    "complex k-means points": lambda: kmeans(POINTS + 1j, 2, 0),
+    "complex CSR matrix": lambda: sym_eigs_topk(sp.csr_array([[0, 1j], [1j, 0]]), 1),
 }
 
 
@@ -80,6 +84,12 @@ def test_integer_array_passes_int64_arrays_as_they_are():
         b = integer_array(values, "x")
         assert b.dtype == np.int64 and b.tolist() == [0, 1]
     assert integer_array([], "x").shape == (0,)
+
+
+def test_float_array_passes_float64_arrays_as_they_are():
+    a = np.arange(4.0)
+    assert float_array(a, "x") is a
+    assert float_array([0, 1], "x").dtype == np.float64
 
 
 @pytest.mark.parametrize(
