@@ -151,12 +151,21 @@ class TestExperimentSpec:
         assert spec.k == 2 and spec.sweep_values == [8, 12]
         assert tiny_spec(model="dcsbm", sweep="n", n=[48, 64], avg_degree=8, beta=2).beta == 2
 
-    def test_spec_and_runner_share_checks(self):
+    @pytest.mark.parametrize("methods", [["louvain"], ["osntf", "louvain"], ["SNMF"]])
+    def test_spec_and_runner_share_checks(self, methods):
         with pytest.raises(InvalidInputError) as from_spec:
-            tiny_spec(methods=["louvain"])
+            tiny_spec(methods=methods)
         with pytest.raises(InvalidInputError) as from_runner:
-            run_methods(karate()[0], 2, ["louvain"], seed=0)
+            run_methods(karate()[0], 2, methods, seed=0)
         assert str(from_spec.value) == str(from_runner.value)
+
+    @pytest.mark.parametrize("matrix", ["laplacian", "adjacency"])
+    def test_spec_file_with_the_deleted_matrix_key_is_refused(self, tmp_path, matrix):
+        # the NMF target is always L, so a file that names one is not silently run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**tiny_spec().__dict__, "matrix": matrix}))
+        with pytest.raises(InvalidInputError, match="matrix"):
+            ExperimentSpec.from_json(path)
 
 
 class TestRunSimulation:
@@ -306,7 +315,8 @@ class TestRunMethod:
             "spectral-wp": spectral.VARIANTS["regularized_no_projection"],
         }
 
-    def test_target_built_after_reg_spectral_partition(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_target_built_after_reg_spectral_partition(self, monkeypatch, method):
         # the dense target and the partition's own dense matrices never coexist
         calls = []
         for module, name in (
@@ -314,9 +324,20 @@ class TestRunMethod:
         ):
             monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        run_method(g, 2, "osntf", seed=0)
+        run_method(g, 2, method, seed=0)
         assert calls == ["regularized_laplacian", "kmeans", "normalized_laplacian"]
 
+    @pytest.mark.parametrize("runner", ["run_method", "run_methods"])
+    @pytest.mark.parametrize("option", [dict(matrix="adjacency"), dict(init="spectral"), dict(tau=1.0)],
+                             ids=lambda option: next(iter(option)))
+    def test_deleted_options_are_refused(self, monkeypatch, runner, option):
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(TypeError, match=next(iter(option))):
+            if runner == "run_method":
+                run_method(g, 2, "snmf", seed=0, **option)
+            else:
+                run_methods(g, 2, ["snmf"], seed=0, **option)
 
 
 class TestReportedResidual:
@@ -324,16 +345,19 @@ class TestReportedResidual:
     CSR targets run_method builds is frobenius_residual's value bit for bit."""
 
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
-    @pytest.mark.parametrize("graph", ["karate", "sbm"])
+    @pytest.mark.parametrize("graph", ["karate", "sbm", "dcsbm"])
+    @pytest.mark.filterwarnings("ignore:clipped")
     def test_equals_frobenius_residual(self, graph, method):
         if graph == "karate":
             g, _ = karate()
             k = 2
-        else:
+        elif graph == "sbm":
             g, _ = largest_connected_component(
                 sample_graph(sbm_snr_preset(300, 3, 4.0, 12.0), seed=[3, 1])
             )
             k = 3
+        else:
+            g, k = dcsbm_graph(), 3
         out = run_method(g, k, method, seed=0)
         x = normalized_laplacian(g)
         h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
@@ -386,24 +410,32 @@ def same_output(a, b) -> bool:
     )
 
 
+# Method lists for the shared-stage tests: every method; the NMF methods
+# alone, so only they use the "reg-spectral" partition; and a mix in which
+# no method shares its eigensolve with the one listed before it.
+SHARED_METHODS = [METHODS, ("osntf", "snmf"), ("spectral-wp", "snmf", "spectral")]
+
+
 @pytest.mark.filterwarnings("ignore:clipped")
 class TestRunMethods:
     """run_methods shares each eigensolve and partition; its outputs must not show it."""
 
     @pytest.mark.parametrize("make_graph", [sbm_graph, dcsbm_graph])
-    def test_matches_independent_run_method_calls(self, make_graph):
+    @pytest.mark.parametrize("methods", SHARED_METHODS)
+    def test_matches_independent_run_method_calls(self, make_graph, methods):
         g = make_graph()
         cfg = SolverConfig(max_iters=60)
-        shared = run_methods(g, 3, METHODS, seed=[9, 2], cfg=cfg)
-        for method, out in zip(METHODS, shared):
+        shared = run_methods(g, 3, methods, seed=[9, 2], cfg=cfg)
+        for method, out in zip(methods, shared):
             alone = run_method(g, 3, method, seed=[9, 2], cfg=cfg)
             assert same_output(out, alone), method
 
-    def test_method_order_does_not_matter(self):
+    @pytest.mark.parametrize("methods", SHARED_METHODS)
+    def test_method_order_does_not_matter(self, methods):
         g = dcsbm_graph()
         cfg = SolverConfig(max_iters=60)
-        forward = run_methods(g, 3, METHODS, seed=1, cfg=cfg)
-        backward = run_methods(g, 3, METHODS[::-1], seed=1, cfg=cfg)
+        forward = run_methods(g, 3, methods, seed=1, cfg=cfg)
+        backward = run_methods(g, 3, methods[::-1], seed=1, cfg=cfg)
         for a, b in zip(forward, backward[::-1]):
             assert same_output(a, b)
 
@@ -430,19 +462,21 @@ class TestRunMethods:
         assert calls.count("sym_eigs_topk") == eigs
         assert calls.count("kmeans") == partitions
 
-    def test_one_laplacian_per_graph(self, monkeypatch):
+    @pytest.mark.parametrize("methods", SHARED_METHODS)
+    def test_one_laplacian_per_graph(self, monkeypatch, methods):
         calls = []
         for module in (bench, spectral):
             monkeypatch.setattr(module, "normalized_laplacian",
                                 recording(module.normalized_laplacian, "normalized_laplacian", calls))
-        run_methods(sbm_graph(), 3, METHODS, seed=0, cfg=SolverConfig(max_iters=5))
+        run_methods(sbm_graph(), 3, methods, seed=0, cfg=SolverConfig(max_iters=5))
         assert calls == ["normalized_laplacian"]
 
-    def test_cache_holds_no_dense_n_by_n_array(self):
+    @pytest.mark.parametrize("methods", SHARED_METHODS)
+    def test_cache_holds_no_dense_n_by_n_array(self, methods):
         g = sbm_graph()
         stages = bench._SharedStages(g, 3, seed=0)
         cfg = SolverConfig(max_iters=20)
-        for method in METHODS:
+        for method in methods:
             bench._run_one(stages, method, cfg)
         kept = [value for value, _ in stages._done.values()]
         kept += [v for v in vars(stages).values() if isinstance(v, np.ndarray)]

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from blockfactor.bench import METHODS, run_method
 from blockfactor.cli import main
+from blockfactor.datasets import data_dir
+from blockfactor.io import load_graph
 
 
 @pytest.fixture
@@ -47,8 +50,6 @@ class TestFactorize:
         assert out.split() == ["0", "0", "0"]
 
     def test_labels_file_karate(self, tmp_path, capsys):
-        from blockfactor.datasets import data_dir
-
         gml = data_dir() / "karate.gml"
         out_path = tmp_path / "labels.txt"
         code = main([
@@ -72,6 +73,17 @@ class TestFactorize:
         assert code == 0
         assert out_path.read_text() == "ann\t0\nbob\t0\ncal\t0\n"
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_karate_labels_are_run_methods(self, method, capsys):
+        # factorize runs the one pipeline each method has, with no option to change it
+        gml = data_dir() / "karate.gml"
+        assert main(["factorize", str(gml), "--k", "2", "--method", method, "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        printed = [int(line.split("\t")[-1]) for line in captured.out.splitlines()]
+        g, _ = load_graph(gml)
+        assert printed == run_method(g, 2, method, seed=3).labels.tolist()
+        assert f"# method={method} n=34 k=2" in captured.err
+
     def test_numpy_error_state_restored(self, k3_file, capsys):
         with np.errstate(all="warn", under="ignore"):
             before = np.geterr()
@@ -84,8 +96,6 @@ class TestFactorize:
         assert "error:" in capsys.readouterr().err
 
     def test_k_above_node_count_errors(self, capsys):
-        from blockfactor.datasets import data_dir
-
         assert main(["factorize", str(data_dir() / "karate.gml"), "--k", "100"]) == 2
         assert "k must be an integer in [1, 34]" in capsys.readouterr().err
 
