@@ -23,8 +23,8 @@ try:
     normalized_laplacian(g)
 except Exception as exc:
     print("as expected:", exc)
-lcc, index_map = largest_connected_component(g)
-print("largest component has", lcc.n, "nodes; old->new map:", index_map)
+lcc, kept = largest_connected_component(g)
+print("largest component has", lcc.n, "nodes; kept original ids:", kept)
 lap = normalized_laplacian(lcc)  # a sparse (CSR) matrix
 print("Laplacian row sums:", np.round(lap.sum(axis=1), 3))
 print("eigenvalues lie in [-1, 1]:", np.round(np.linalg.eigvalsh(lap.toarray()), 3))

@@ -11,7 +11,6 @@ import csv
 import io as _io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -315,8 +314,8 @@ def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np
     """One cell's sampled graph restricted to its largest component, with planted labels."""
     params = spec.params_for(sweep_value, seed)
     g = sample_graph(params, seed=[seed, _STREAM_GRAPH])
-    g_lcc, index_map = largest_connected_component(g)
-    return g_lcc, params.z[list(index_map)]
+    g_lcc, nodes = largest_connected_component(g)
+    return g_lcc, params.z[nodes]
 
 
 def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
@@ -356,6 +355,8 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
     """
     cells = [(spec, sv, rep) for sv in spec.sweep_values for rep in range(spec.replicates)]
     chunks = []
+    if workers > 1:  # imported only here: the pool module takes about 15 ms to load
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         # both maps yield in argument order

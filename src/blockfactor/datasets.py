@@ -58,9 +58,8 @@ def dolphins() -> tuple[Graph, np.ndarray]:
             "scripts/fetch_dolphins.py so the two-group split is encoded."
         )
     labeled = np.flatnonzero(labels >= 0)
-    g_sub, _ = induced_subgraph(g, labeled)
-    g_lcc, lcc_map = largest_connected_component(g_sub)
-    return g_lcc, labels[labeled][list(lcc_map)]
+    g_lcc, kept = largest_connected_component(induced_subgraph(g, labeled))
+    return g_lcc, labels[labeled[kept]]
 
 
 def polblogs() -> tuple[Graph, np.ndarray]:
@@ -73,8 +72,8 @@ def polblogs() -> tuple[Graph, np.ndarray]:
     edges_path, labels_path = (_fixture_path(f"polblogs_{part}.txt", hint) for part in ("edges", "labels"))
     labels = load_labels(labels_path)
     g = symmetrize_directed(read_edge_pairs(edges_path), n=labels.shape[0])
-    g_lcc, lcc_map = largest_connected_component(g)
-    return g_lcc, labels[list(lcc_map)]
+    g_lcc, kept = largest_connected_component(g)
+    return g_lcc, labels[kept]
 
 
 _LOADERS = {"karate": karate, "dolphins": dolphins, "polblogs": polblogs}

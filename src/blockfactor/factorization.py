@@ -101,6 +101,12 @@ def _entries(x) -> np.ndarray:
     return x if isinstance(x, np.ndarray) else x.data
 
 
+def _sq_norm(x) -> float:
+    """||x||_F^2 of an ``as_matrix`` result by numpy's pairwise sum: a BLAS dot
+    product splits 10^4 entries across threads, so its last bit follows their count."""
+    return float(np.square(_entries(x)).sum())
+
+
 def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
     """Shape, finiteness, symmetry and sign checks; ``x`` is dense or CSR
     (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
@@ -136,8 +142,8 @@ def frobenius_residual(x, h: np.ndarray, s: Optional[np.ndarray] = None) -> floa
     """
     x = as_matrix(x)
     if not isinstance(x, np.ndarray):
-        return _residual_from(float(np.vdot(x.data, x.data)), x @ h, h, s)[0]
-    return float(np.linalg.norm(x - (h @ h.T if s is None else h @ s @ h.T)))
+        return _residual_from(_sq_norm(x), x @ h, h, s)[0]
+    return math.sqrt(_sq_norm(x - (h @ h.T if s is None else h @ s @ h.T)))
 
 
 def _shared_products(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray], hxh=None) -> tuple[float, tuple]:
@@ -229,7 +235,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
     """
     x = as_matrix(x)
     h = float_array(h0, "h0").copy()
-    x_sq = float(np.vdot(_entries(x), _entries(x)))
+    x_sq = _sq_norm(x)
     _check_solver_inputs(x, x_sq, k, h)
     # The identity's r^2 is off by up to about n k eps ||X||^2 (measured at
     # most 12 eps ||X||^2 at n = 60 and 57 at n = 300).  A relative change
@@ -305,7 +311,7 @@ def exactness_diagnostics(
     if not np.isfinite(h).all():
         raise InvalidInputError("h must be finite")
     residual = frobenius_residual(x, h, f.s)
-    norm_x = float(np.linalg.norm(_entries(x)))
+    norm_x = math.sqrt(_sq_norm(x))
     drift = float(np.linalg.norm(h.T @ h - np.eye(h.shape[1])))
     if h.shape[1] == 1:
         sparse_rows = float(np.mean(h.max(axis=1) > 0))

@@ -20,7 +20,6 @@ __all__ = [
     "degrees",
     "normalized_laplacian",
     "largest_connected_component",
-    "connected_components",
     "induced_subgraph",
     "symmetrize_directed",
 ]
@@ -203,48 +202,40 @@ def normalized_laplacian(g: Graph):
     return _scaled_adjacency(g, 1.0 / np.sqrt(d.astype(np.float64)))
 
 
-def _component_roots(g: Graph) -> np.ndarray:
-    """The smallest node of each node's component.
+def _component_labels(g: Graph) -> np.ndarray:
+    """scipy's component label of each node: equal labels, same component.
 
-    scipy's ``connected_components`` labels the upper-triangular pattern,
-    built straight from ``edge_array``: its rows are sorted, so the row
-    pointers are a cumulative sum of row counts and no sort is needed.
+    ``connected_components`` labels the upper-triangular pattern, built
+    straight from ``edge_array``: its rows are sorted, so the row pointers
+    are a cumulative sum of row counts and no sort is needed.
     """
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components as label_components
+    from scipy.sparse.csgraph import connected_components
 
     i, j = g.edge_array.T
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=g.n))))
     upper = csr_array((np.ones(i.size), np.ascontiguousarray(j), indptr), shape=(g.n, g.n))
-    _, labels = label_components(upper, directed=False)
-    root = np.full(g.n, g.n)
-    np.minimum.at(root, labels, np.arange(g.n))
-    return root[labels]
+    return connected_components(upper, directed=False)[1]
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    root = _component_roots(g)
-    order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
-    return [c.tolist() for c in np.split(order, cuts)] if g.n else []
-
-
-def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the largest component plus the old->new index map.
+def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
+    """Induced subgraph on the largest component plus its nodes' original
+    ids, ascending as an int64 array: node i of the subgraph is ``nodes[i]``.
 
     Ties between equally large components go to the one containing the
     smallest original node index.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot take the largest component of an empty graph")
-    root = _component_roots(g)
-    best = np.bincount(root).argmax()  # first maximum: the smallest root
-    return induced_subgraph(g, np.flatnonzero(root == best))
+    labels = _component_labels(g)
+    sizes = np.bincount(labels)
+    best = labels[np.argmax(sizes[labels] == sizes.max())]  # the first node in a largest one
+    nodes = np.flatnonzero(labels == best)
+    return induced_subgraph(g, nodes), nodes
 
 
-def induced_subgraph(g: Graph, nodes: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on the given nodes (kept in the given order) plus old->new map."""
+def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
+    """Subgraph on the given nodes, kept in the given order: its node i is ``nodes[i]``."""
     nodes = integer_array(nodes, "node ids")
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
         raise InvalidInputError(f"node list has ids outside [0, {g.n})")
@@ -259,7 +250,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> tuple[Graph, dict[int, i
         names = tuple(g.node_names[old] for old in nodes)
     # an increasing map keeps i < j and the sorted order: e is canonical
     build = Graph if (nodes[1:] > nodes[:-1]).all() else Graph.from_edges
-    return build(int(nodes.size), e, names), dict(zip(nodes.tolist(), range(nodes.size)))
+    return build(int(nodes.size), e, names)
 
 
 def symmetrize_directed(

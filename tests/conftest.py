@@ -1,9 +1,33 @@
-"""Shared generators for the population-recovery and block-diagonal oracles."""
+"""Shared generators for the population-recovery and block-diagonal oracles,
+and a runner for code that must start in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from blockfactor.blockmodels import DcsbmParams, SbmParams, population_laplacian
 from blockfactor.graphs import Graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_interpreter(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter with the checkout's ``src``
+    first on PYTHONPATH and ``env`` added to the environment."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300)
+
+
+def fresh_output(code: str, **env: str) -> str:
+    """The stripped stdout of ``python -c code`` in a fresh interpreter,
+    which must exit 0."""
+    out = fresh_interpreter(["-c", code], **env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def topk_by_magnitude(m: np.ndarray, k: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import SRC, fresh_output
 from scipy.sparse import issparse
 
 import blockfactor.bench as bench
@@ -260,6 +261,24 @@ class TestRunSimulation:
         serial = rows_to_csv_text(run_simulation(spec, workers=1))
         parallel = rows_to_csv_text(run_simulation(spec, workers=2))
         assert serial == parallel
+
+    def test_csv_does_not_depend_on_the_blas_thread_count(self):
+        # fig1a's avg_degree 15 cell, seed 1: L has over 10^4 stored entries,
+        # where a BLAS dot product for ||L||^2 split across two threads and
+        # moved snmf's residual in the last digit
+        code = f"""
+from blockfactor.bench import ExperimentSpec, _simulate_cell, rows_to_csv_text
+spec = ExperimentSpec.from_json({str(SRC.parent / "configs" / "fig1a.json")!r})
+print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
+"""
+        texts = [fresh_output(code, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t) for t in ("1", "2")]
+        assert texts[0].count("\n") == 4  # a header and one row per method
+        assert texts[0] == texts[1]
+
+    def test_import_does_not_load_the_process_pool(self):
+        assert fresh_output(
+            "import sys, blockfactor.bench; print('concurrent.futures.process' in sys.modules)"
+        ) == "False"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_reports_every_cell(self, workers):

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import SRC, fresh_interpreter
 
-from blockfactor.bench import METHODS, run_method
+from blockfactor.bench import METHODS, read_csv, run_method
 from blockfactor.cli import main
 from blockfactor.datasets import data_dir
 from blockfactor.io import load_graph
@@ -122,6 +123,13 @@ class TestSimulate:
         assert code == 0
         assert "re-verified" in capsys.readouterr().out
 
+    def test_progress_line_and_replicates_override(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["simulate", str(spec_file), "--out", str(out), "--replicates", "1"]) == 0
+        # one sweep value at one replicate instead of the spec's two: one cell
+        assert capsys.readouterr().err == "\r1/1 cells\n"
+        assert [r["method"] for r in read_csv(out)] == ["osntf", "spectral"]
+
     def test_bad_spec_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": "x"}))
@@ -169,3 +177,12 @@ class TestRealdataCommand:
             main(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+
+def test_python_m_blockfactor_runs_the_cli():
+    done = fresh_interpreter(
+        ["-m", "blockfactor", "factorize", str(SRC / "blockfactor" / "data" / "karate.gml"), "--k", "2"]
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 34
+    assert "# method=osntf n=34 k=2" in done.stderr

@@ -29,8 +29,8 @@ def sampled_graphs():
             dcsbm_powerlaw_preset(400, 3, 4.0, 12.0, 2.5, seed=[5, 0]),
         ]
     ):
-        g, index_map = largest_connected_component(sample_graph(params, seed=[seed, 1]))
-        out.append((g, params.z[list(index_map)]))
+        g, nodes = largest_connected_component(sample_graph(params, seed=[seed, 1]))
+        out.append((g, params.z[nodes]))
     return out
 
 

@@ -319,6 +319,8 @@ class TestSweepLoop:
 # The sweep loop as it was before each sweep's k x k products were formed
 # once and shared by its residual and the next update, kept verbatim as
 # the bit-for-bit reference.  Its inputs are valid, so the checks are left out.
+# Its ||X||^2 is numpy's pairwise sum, as in the solver since that sum
+# stopped going through a BLAS dot product, whose bits follow the thread count.
 
 
 def _parent_identity_sq(x_sq, xh, h, s):
@@ -365,7 +367,7 @@ def parent_solve(method, x, k, h0, cfg):
     x = as_matrix(x)
     entries = x if isinstance(x, np.ndarray) else x.data
     h = np.array(h0, dtype=np.float64)
-    x_sq = float(np.vdot(entries, entries))
+    x_sq = float(np.square(entries).sum())
     noise_sq = x.shape[0] * k * np.finfo(np.float64).eps * x_sq
     if method == "snmf":
         s0, update = None, lambda xh, h, s: (_parent_snmf_update(xh, h), None)
@@ -510,6 +512,11 @@ class TestInputChecks:
             solver(x, 1, np.ones((3, 1)))
         assert isinstance(exc.value, BlockfactorError) and isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("solver", [snmf, osntf])
+    def test_non_square_matrix(self, solver):
+        with pytest.raises(DimensionMismatchError, match=r"square, got shape \(2, 3\)"):
+            solver(np.ones((2, 3)), 1, np.ones((2, 1)))
+
     def test_off_diagonal_nan_is_not_called_asymmetric(self):
         x = np.eye(3)
         x[0, 1] = x[1, 0] = np.nan
@@ -534,6 +541,10 @@ class TestAssignCommunities:
         h_bar = z_mat @ np.diag(1.0 / np.sqrt(np.diag(q)))
         assert np.array_equal(assign_communities(h_bar), p.z)
 
+    def test_one_dimensional_h_raises(self):
+        with pytest.raises(DimensionMismatchError, match="N x K"):
+            assign_communities(np.ones(3))
+
     def test_all_zero_row_raises(self):
         h = np.array([[0.5, 0.1], [0.0, 0.0]])
         with pytest.raises(AllZeroRowError) as exc:
@@ -554,6 +565,16 @@ class TestExactnessDiagnostics:
         report = exactness_diagnostics(lap, f)
         assert report.row_sparsity == 1.0
         assert report.relative_residual < 1e-10
+
+    def test_one_column_scores_rows_with_a_positive_entry(self):
+        # X = h s h^T exactly; at k = 1 a row is sparse when its entry is positive
+        h = np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2.0)
+        x = 3.0 * h @ h.T
+        f = Factorization(h=h, s=np.array([[3.0]]), objective_trace=np.zeros(1), iterations=0, converged=True)
+        report = exactness_diagnostics(x, f)
+        assert report.row_sparsity == pytest.approx(2 / 3)
+        assert report.relative_residual < 1e-15
+        assert report.orthogonality_drift < 1e-15
 
     def test_noisy_input_reports_positive_residual(self):
         rng = np.random.default_rng(13)

@@ -8,8 +8,11 @@ pass this test without regenerating the files.
 
 The files were written with numpy 2.4.6 (scipy 1.17.1) on OpenBLAS
 0.3.31 (64-bit ints, DYNAMIC_ARCH, Haswell kernels) on x86_64, Python
-3.11.  The residual columns are BLAS sums, so another BLAS build may
-differ in the last digits.
+3.11.  The residual columns take ||X||^2 as a numpy sum, so they do not
+depend on the BLAS thread count, but they still hold BLAS products, so
+another BLAS build may differ in the last digits.  fig1c's two residuals
+were regenerated when ||X||^2 moved from a BLAS dot product to numpy's
+pairwise sum; no other column changed.
 
 Regenerate only for a declared change of the numbers:
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -10,14 +10,13 @@ from blockfactor.errors import EmptyGraphError, GraphParseError, InvalidInputErr
 from blockfactor.graphs import (
     MAX_NODES,
     Graph,
-    connected_components,
     degrees,
     induced_subgraph,
     largest_connected_component,
     normalized_laplacian,
     symmetrize_directed,
 )
-from blockfactor.graphs import _canonical_edges
+from blockfactor.graphs import _canonical_edges, _component_labels
 from blockfactor.spectral import regularized_laplacian
 
 DATA = Path(__file__).parent.parent / "src" / "blockfactor" / "data"
@@ -42,6 +41,12 @@ def reachability_components(g):
             break
         reach = closed
     return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def label_components(g):
+    """The components ``_component_labels`` gives, smallest member first."""
+    labels = _component_labels(g)
+    return sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels))
 
 
 def component_test_graphs():
@@ -88,7 +93,7 @@ class TestGraphType:
         built = [
             g,
             Graph(n=g.n, edge_array=g.edge_array.tolist()),
-            induced_subgraph(g, rng.permutation(30)[:20])[0],
+            induced_subgraph(g, rng.permutation(30)[:20]),
             symmetrize_directed(g.edge_array.tolist()[::-1] + [[4, 4]], n=30),
             Graph.from_edges(5, []),
         ]
@@ -235,16 +240,16 @@ class TestComponents:
         g = Graph.from_edges(
             7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
-        lcc, index_map = largest_connected_component(g)
+        lcc, nodes = largest_connected_component(g)
         assert lcc.n == 3
         # tie broken toward the component holding node 0
-        assert sorted(index_map) == [0, 1, 2]
-        assert len(connected_components(lcc)) == 1
+        assert nodes.tolist() == [0, 1, 2]
+        assert len(label_components(lcc)) == 1
 
     def test_connected_graph_identity_map(self):
-        lcc, index_map = largest_connected_component(K3)
+        lcc, nodes = largest_connected_component(K3)
         assert lcc.edge_array.tolist() == K3.edge_array.tolist()
-        assert index_map == {0: 0, 1: 1, 2: 2}
+        assert nodes.dtype == np.int64 and nodes.tolist() == [0, 1, 2]
 
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraphError):
@@ -255,8 +260,8 @@ class TestComponents:
         for _ in range(20):
             g = random_graph(rng, 25, 0.08)
             lcc, _ = largest_connected_component(g)
-            assert len(connected_components(lcc)) == 1
-            sizes = [len(c) for c in connected_components(g)]
+            assert len(label_components(lcc)) == 1
+            sizes = [len(c) for c in label_components(g)]
             assert lcc.n == max(sizes)
 
     def test_node_names_follow(self):
@@ -266,16 +271,14 @@ class TestComponents:
 
     def test_induced_subgraph(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        sub, index_map = induced_subgraph(g, [1, 2, 4])
-        assert sub.n == 3
+        sub = induced_subgraph(g, [1, 2, 4])
+        assert isinstance(sub, Graph) and sub.n == 3
         assert sub.edge_array.tolist() == [[0, 1]]
-        assert index_map == {1: 0, 2: 1, 4: 2}
 
     def test_induced_subgraph_keeps_given_order(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        sub, index_map = induced_subgraph(g, [4, 2, 1, 3])
+        sub = induced_subgraph(g, [4, 2, 1, 3])
         assert sub.edge_array.tolist() == [[0, 3], [1, 2], [1, 3]]
-        assert index_map == {4: 0, 2: 1, 1: 2, 3: 3}
 
     def test_induced_subgraph_equals_from_edges(self):
         # increasing node lists skip from_edges; the result must not change
@@ -299,10 +302,9 @@ class TestComponents:
                 e = new[g.edge_array]
                 want = Graph.from_edges(nodes.size, e[(e >= 0).all(axis=1)],
                                         [g.node_names[i] for i in nodes])
-                sub, index_map = induced_subgraph(g, nodes)
+                sub = induced_subgraph(g, nodes)
                 assert sub == want and sub.n == nodes.size
                 assert not sub.edge_array.flags.writeable
-                assert index_map == {int(old): i for i, old in enumerate(nodes)}
 
     @pytest.mark.parametrize("nodes", [[5, 1], [-1, 1], [3]])
     def test_induced_subgraph_rejects_unknown_nodes(self, nodes):
@@ -317,14 +319,12 @@ class TestComponents:
     def test_components_match_reachability_closure(self):
         for g in component_test_graphs():
             expected = reachability_components(g)
-            assert connected_components(g) == [list(c) for c in expected]
+            assert label_components(g) == expected
             best = max(expected, key=len)  # first of the largest: smallest member
-            lcc, index_map = largest_connected_component(g)
-            assert list(index_map) == list(best)
-            assert list(index_map.values()) == list(range(len(best)))
-            expected_edges = [
-                [index_map[i], index_map[j]] for i, j in g.edge_array.tolist() if i in index_map
-            ]
+            lcc, nodes = largest_connected_component(g)
+            assert nodes.dtype == np.int64 and nodes.tolist() == list(best)
+            new = {old: i for i, old in enumerate(best)}
+            expected_edges = [[new[i], new[j]] for i, j in g.edge_array.tolist() if i in new]
             assert lcc.edge_array.tolist() == expected_edges
 
     def test_long_shuffled_path_is_one_component(self):
@@ -332,9 +332,10 @@ class TestComponents:
         n = 20_000
         order = np.random.default_rng(8).permutation(n)
         g = Graph.from_edges(n, np.column_stack((order[:-1], order[1:])))
-        assert connected_components(g) == [list(range(n))]
-        lcc, index_map = largest_connected_component(g)
-        assert lcc.edge_array.tolist() == g.edge_array.tolist() and len(index_map) == n
+        assert (_component_labels(g) == _component_labels(g)[0]).all()
+        lcc, nodes = largest_connected_component(g)
+        assert lcc.edge_array.tolist() == g.edge_array.tolist()
+        assert np.array_equal(nodes, np.arange(n))
 
 
 class TestSymmetrizeDirected:

@@ -182,6 +182,9 @@ MALFORMED_GML = {
     "unclosed node": ("graph [ node [ id 0 ]\n node [ id 1\n", 2),
     "unterminated string": ('graph [ node [ id 0\n label "a ] ]', 2),
     "stray closing bracket": ("graph [ node [ id 0 ] ]\n]", 2),
+    "node without id": ("graph [ node [ id 0 ]\n node [ value 1 ] ]", 2),
+    "edge without target": ("graph [ node [ id 0 ]\n edge [ source 0 ] ]", 2),
+    "undeclared edge source": ("graph [ node [ id 0 ]\n edge [ source 9 target 0 ] ]", 2),
     # deeper than Python's recursion limit
     "2000 unclosed lists": ("a [ " * 1999 + "\nb [", 2),
 }

@@ -59,6 +59,10 @@ class TestNmi:
     def test_one_single_class(self):
         assert nmi([0, 0, 0, 0], [0, 1, 0, 1]) == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_normalizer_reads_zero(self):
+        # "min" divides by the single-class side's entropy, which is 0
+        assert nmi([0, 0, 0, 0], [0, 1, 0, 1], variant="min") == 0.0
+
     def test_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

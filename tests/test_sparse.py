@@ -2,16 +2,12 @@
 checked against the dense reference: subspaces and labels, not raw vectors,
 because eigenvectors of repeated eigenvalues are not unique."""
 
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import random_connected_component
+from conftest import fresh_output, random_connected_component
 
 from blockfactor import spectral
 from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
@@ -24,7 +20,7 @@ from blockfactor.factorization import (
     osntf,
     snmf,
 )
-from blockfactor.graphs import Graph, degrees, largest_connected_component, normalized_laplacian
+from blockfactor.graphs import Graph, as_matrix, degrees, largest_connected_component, normalized_laplacian
 from blockfactor.spectral import (
     _lobpcg_topk,
     nmf_init_from_partition,
@@ -32,8 +28,6 @@ from blockfactor.spectral import (
     spectral_clustering,
     sym_eigs_topk,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sampled_components(count, seed=0):
@@ -341,6 +335,16 @@ class TestSolverDispatch:
         second.__exit__(None, None, None)
         assert lib.count == 4
 
+    def test_one_thread_block_is_a_no_op_without_the_library(self, monkeypatch):
+        # a scipy built on another BLAS has no bundled OpenBLAS to set
+        monkeypatch.setattr(spectral, "_scipy_openblas", lambda: None)
+        ran = []
+        with spectral._scipy_blas_on_one_thread():
+            ran.append(spectral._blas_users)
+        assert ran == [0] and spectral._blas_users == 0
+        g, k = GRAPHS[1]
+        assert spectral._arpack_topk(normalized_laplacian(g), k) is not None
+
     @pytest.mark.parametrize("route", ["_arpack_topk", "_lobpcg_topk"])
     def test_deterministic_descending_and_signed(self, routes, route):
         g, k = GRAPHS[1]
@@ -401,6 +405,15 @@ class TestCsrSolvers:
             with pytest.raises(InvalidInputError, match=word):
                 osntf(x + delta, 1, h0)
 
+    def test_uncanonical_csr_is_summed_on_a_copy(self):
+        # built from its index arrays, scipy keeps row 1's duplicate (1, 0)
+        x = sp.csr_array((np.ones(5), [1, 1, 0, 0, 2], [0, 2, 4, 5]), shape=(3, 3))
+        assert not x.has_canonical_format
+        y = as_matrix(x)
+        assert y.has_canonical_format and y.nnz == 3
+        assert np.array_equal(y.toarray(), [[0, 2, 0], [2, 0, 0], [0, 0, 1]])
+        assert x.nnz == 5  # the caller's matrix is left as it was
+
     def test_duplicate_entries_are_summed(self):
         # an uncanonical COO-built matrix: (0, 1) and (1, 0) stored twice
         x = sp.coo_array(([1.0, 1.0, 1.0, 1.0, 3.0], ([0, 0, 1, 1, 2], [1, 1, 0, 0, 2])),
@@ -411,20 +424,11 @@ class TestCsrSolvers:
         np.testing.assert_allclose(a.h, b.h, rtol=1e-9)
 
 
-def _fresh_interpreter(code: str) -> str:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
 class TestLazyScipy:
     """scipy loads only on a CSR path, so a dense-only run never pays for it."""
 
     def test_import_does_not_load_scipy(self):
-        assert _fresh_interpreter(
+        assert fresh_output(
             "import sys, blockfactor.bench; print('scipy' in sys.modules)"
         ) == "False"
 
@@ -444,4 +448,4 @@ for solver in (osntf, snmf):
     misclustering_rate(labels, assign_communities(solver(x, 3, h0).h))
 print('scipy' in sys.modules)
 """
-        assert _fresh_interpreter(code) == "False"
+        assert fresh_output(code) == "False"

@@ -9,6 +9,7 @@ from blockfactor.graphs import Graph, normalized_laplacian
 from blockfactor.metrics import misclustered_count, misclustering_rate
 from blockfactor.spectral import (
     _lloyd,
+    graph_eigenvectors,
     kmeans,
     nmf_init_from_partition,
     regularized_laplacian,
@@ -177,10 +178,18 @@ class TestTypedErrors:
             kmeans(points, 2, seed=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_kmeans_overflowing_distances(self):
-        points = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    @pytest.mark.parametrize("points, k", [
+        ([[-1e200, 0.0], [1e200, 0.0], [0.0, 1e200]], 2),
+        # k = 1 seeds no second centroid; the one cluster's WCSS overflows
+        ([[1e200], [-1e200]], 1),
+    ], ids=["seeding", "wcss"])
+    def test_kmeans_overflowing_distances(self, points, k):
         with pytest.raises(InvalidInputError, match="overflow"):
-            kmeans(points, 2, seed=0)
+            kmeans(np.array(points), k, seed=0)
+
+    def test_unknown_graph_matrix(self):
+        with pytest.raises(InvalidInputError, match="unknown graph matrix 'bogus'"):
+            graph_eigenvectors(two_cliques(), 2, "bogus")
 
     def test_kmeans_points_not_a_matrix(self):
         for points in (np.zeros(5), np.zeros((5, 0))):
