@@ -390,7 +390,7 @@ def rows_to_csv_text(rows: Sequence[ResultRow]) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in rows:
         cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
-        writer.writerow(cells + ["".join(str(int(v)) for v in r.labels)])
+        writer.writerow(cells + ["".join(map(str, r.labels.tolist()))])
     return buf.getvalue()
 
 
@@ -398,9 +398,26 @@ def write_csv(rows: Sequence[ResultRow], path) -> None:
     Path(path).write_text(rows_to_csv_text(rows), newline="")
 
 
-def read_csv(path) -> list[dict]:
+def _located_rows(path) -> list[tuple[str, dict]]:
+    """("<path>, line <n>", row) per row of a CSV whose header names every CSV_COLUMNS entry."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise BlockfactorError(f"{path}: CSV header lacks column(s) {', '.join(missing)}")
+        return [(f"{path}, line {reader.line_num}", rec) for rec in reader]
+
+
+def read_csv(path) -> list[dict]:
+    return [rec for _, rec in _located_rows(path)]
+
+
+def _field(rec: dict, name: str, convert, where: str):
+    """convert(rec[name]), or BlockfactorError naming ``where`` (file and line)."""
+    try:
+        return convert(rec[name])
+    except (TypeError, ValueError, OverflowError):
+        raise BlockfactorError(f"{where}: cannot read {name} {rec[name]!r}") from None
 
 
 def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
@@ -409,22 +426,22 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     Returns the number of rows re-verified; raises BlockfactorError on
     any mismatch.
     """
-    records = read_csv(path)
+    records = _located_rows(path)
     step = max(1, int(round(1.0 / max(fraction, 1e-9))))
+    to_sweep_value = (lambda v: int(float(v))) if spec.sweep == "n" else float
     checked = 0
     for idx in range(0, len(records), step):
-        rec = records[idx]
-        seed = int(rec["seed"])
-        sweep_value = float(rec["sweep_value"])
-        if spec.sweep == "n":
-            sweep_value = int(sweep_value)
+        where, rec = records[idx]
+        seed = _field(rec, "seed", int, where)
+        sweep_value = _field(rec, "sweep_value", to_sweep_value, where)
         _, truth = _cell_graph(spec, sweep_value, seed)
-        labels = np.array([int(c) for c in rec["labels"]])
+        labels = np.array(_field(rec, "labels", lambda v: [int(c) for c in v], where))
         rate, _ = misclustering_rate(truth, labels)
         value = nmi(truth, labels)
-        if abs(value - float(rec["nmi"])) > 1e-12 or abs(rate - float(rec["misclustering_rate"])) > 1e-12:
+        stored_nmi, stored_rate = (_field(rec, name, float, where) for name in ("nmi", "misclustering_rate"))
+        if not (abs(value - stored_nmi) <= 1e-12 and abs(rate - stored_rate) <= 1e-12):  # NaN fails too
             raise BlockfactorError(
-                f"row {idx}: stored metrics do not match recomputation "
+                f"{where}: stored metrics do not match recomputation "
                 f"(nmi {rec['nmi']} vs {value!r}, rate {rec['misclustering_rate']} vs {rate!r})"
             )
         checked += 1
@@ -492,11 +509,9 @@ def winner_counts(csv_paths: Sequence) -> dict:
     cells: dict[tuple, list[tuple[str, float]]] = {}
     methods_seen: set[str] = set()
     for path in csv_paths:
-        for rec in read_csv(path):
-            if not rec.get("experiment"):
-                raise BlockfactorError(f"{path}: malformed CSV (missing experiment column)")
-            cell = (rec["experiment"], rec["sweep_value"], rec["seed"])
-            cells.setdefault(cell, []).append((rec["method"], float(rec["nmi"])))
+        for where, rec in _located_rows(path):
+            value = _field(rec, "nmi", float, where)
+            cells.setdefault((rec["experiment"], rec["sweep_value"], rec["seed"]), []).append((rec["method"], value))
             methods_seen.add(rec["method"])
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}

@@ -176,26 +176,29 @@ def _first_above(c: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
     return cut
 
 
+def _sorted_blocks(z: np.ndarray, t: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block r < k, its t in ascending order and that order's prefix sums from 0."""
+    sorted_t = [np.sort(t[z == r]) for r in range(k)]
+    return [(tr, np.concatenate(([0.0], np.cumsum(tr)))) for tr in sorted_t]
+
+
 def _clipped_entries(z: np.ndarray, t: np.ndarray, rates: np.ndarray) -> int:
     """How many of the n^2 entries rates[z_i, z_j] * (t_i * t_j) exceed 1, in O(n log n)."""
     count = 0
-    for r in range(rates.shape[0]):
-        tr = np.sort(t[z == r])
+    for r, (tr, _) in enumerate(_sorted_blocks(z, t, rates.shape[0])):
         count += int((tr.size - _first_above(rates[z, r], t, tr)).sum())
     return count
 
 
-def _clipped_mean_degree(z: np.ndarray, t: np.ndarray, rates: np.ndarray) -> float:
+def _clipped_mean_degree(z: np.ndarray, t: np.ndarray, rates: np.ndarray, blocks: list) -> float:
     """The mean over i of sum_j min(1, rates[z_i, z_j] * t_i * t_j), in O(n log n).
 
-    Against block r, sorted by t, node i's entries clip from one
-    searchsorted position on; below it they sum to rate * t_i times a
-    prefix sum of block r's t.
+    Against block r, sorted by t (``blocks``, from ``_sorted_blocks``),
+    node i's entries clip from one searchsorted position on; below it they
+    sum to rate * t_i times a prefix sum of block r's t.
     """
     total = 0.0
-    for r in range(rates.shape[0]):
-        tr = np.sort(t[z == r])
-        below = np.concatenate(([0.0], np.cumsum(tr)))
+    for r, (tr, below) in enumerate(blocks):
         rate = rates[z, r] * t
         with np.errstate(divide="ignore"):
             cut = np.searchsorted(tr, 1.0 / rate, side="right")
@@ -355,8 +358,10 @@ def dcsbm_powerlaw_preset(
         mask = z == q
         theta[mask] = theta[mask] / theta[mask].sum()
 
+    blocks = _sorted_blocks(z, theta, k)  # sorted once, read at every bisection step
+
     def clipped_mean(scale: float) -> float:
-        return _clipped_mean_degree(z, theta, scale * pattern)
+        return _clipped_mean_degree(z, theta, scale * pattern, blocks)
 
     hi = target_avg_degree * n / float(pattern.sum())  # exact when nothing clips
     while clipped_mean(hi) < target_avg_degree:

@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DanglingEdgeError, GraphParseError, InvalidInputError, is_integer
+from .errors import DanglingEdgeError, GraphParseError, InvalidInputError, integer_array, is_integer
 from .graphs import MAX_NODES, Graph, symmetrize_directed
 
 __all__ = [
@@ -242,11 +242,13 @@ def save_gml(g: Graph, path: PathLike, labels: Optional[np.ndarray] = None) -> N
     """Write the same GML subset the parser reads (ids 0..n-1).
 
     A node name the parser could not read back, one holding a ``"``, a
-    line break or a lone surrogate, or a ``labels`` whose length is not the
-    node count, raises InvalidInputError before the file is opened.
+    line break or a lone surrogate, or a ``labels`` that is not one integer
+    per node, raises InvalidInputError before the file is opened.
     """
-    if labels is not None and len(labels) != g.n:
-        raise InvalidInputError(f"labels has {len(labels)} entries for {g.n} nodes")
+    if labels is not None:
+        labels = integer_array(labels, "labels")
+        if labels.shape != (g.n,):
+            raise InvalidInputError(f"labels has {labels.size} entries for {g.n} nodes, in shape {labels.shape}, not ({g.n},)")
     lines = ["graph ["]
     for i in range(g.n):
         parts = [f"  node [ id {i}"]
@@ -281,10 +283,13 @@ def load_labels(path: PathLike) -> np.ndarray:
 def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
     """One label per line; `name<TAB>label` when node names are given.
 
-    A name ``load_labels`` could not read back, one holding a `#`, a tab,
-    a line break or a lone surrogate, or a ``names`` not one per label,
-    raises InvalidInputError before the file is opened.
+    Labels that are not a 1-D integer vector, ``names`` not one per label,
+    or a name ``load_labels`` could not read back (holding `#`, a tab, a
+    line break or a lone surrogate) raise InvalidInputError before ``open``.
     """
+    labels = integer_array(labels, "labels")
+    if labels.ndim != 1:
+        raise InvalidInputError(f"labels has shape {labels.shape}, not one dimension")
     if names is not None and len(names) != len(labels):
         raise InvalidInputError(f"names has {len(names)} entries for {len(labels)} labels")
     for name in names if names is not None else ():

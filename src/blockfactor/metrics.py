@@ -35,9 +35,8 @@ def confusion_table(a, b) -> np.ndarray:
         raise LengthMismatchError(f"partition lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
         raise InvalidInputError("partitions must be nonempty")
-    counts = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (a, b), 1)
-    return counts
+    na, nb = int(a.max()) + 1, int(b.max()) + 1
+    return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
 
 
 def nmi(a, b, variant: str = "sum") -> float:

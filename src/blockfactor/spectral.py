@@ -71,6 +71,8 @@ _DENSE_EIGH_BELOW = 150
 # n = 10^5, k = d = 3.  Its distance terms are (b, k, n) arrays, at most
 # min(d, 8) + 1 of them alive at once.
 _LLOYD_BLOCK_VALUES = 1 << 18
+_RESTARTS = 20  # k-means++ starts (Arthur & Vassilvitskii, SODA 2007) per k-means
+_MAX_ITER = 100  # Lloyd steps at most per start
 
 
 class EigenPairs(NamedTuple):
@@ -403,7 +405,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
     labels = np.empty((b, points.shape[0]), dtype=np.intp)
     wcss = np.empty(b)
     live, prev = np.arange(b), None
-    steps = max(max_iter, 0) + 1
+    steps = max_iter + 1
     for step in range(steps):
         new, own = _nearest(cols, centroids[live])
         if step == steps - 1:
@@ -433,32 +435,26 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
     return labels, wcss
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed,
-    restarts: int = 20,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """k-means labels, best of `restarts` k-means++ runs by within-cluster SS.
+def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
+    """k-means labels, best of ``_RESTARTS`` k-means++ runs by within-cluster SS.
 
     All k-means++ starts are drawn first, from one generator seeded by
     ``seed``; Lloyd's steps draw nothing, so they are the starts a
     one-restart-at-a-time loop would draw.  The restarts then run in
-    blocks through one batched Lloyd loop (``_lloyd``); a block holds as
-    many restarts as keep b * n * k * d within ``_LLOYD_BLOCK_VALUES``,
-    and at least one.  The first restart with the smallest within-cluster
-    sum of squares wins.  Every distance, cluster sum and objective is
-    added in the order that one-restart loop adds it (see
-    ``_pairwise_sum`` and ``_cluster_sums``), so the labels and each
-    restart's sum of squares are bit for bit that loop's.
+    blocks through one batched Lloyd loop (``_lloyd``, at most
+    ``_MAX_ITER`` steps); a block holds as many restarts as keep
+    b * n * k * d within ``_LLOYD_BLOCK_VALUES``, and at least one.  The
+    first restart with the smallest within-cluster sum of squares wins.
+    Every distance, cluster sum and objective is added in the order that
+    one-restart loop adds it (see ``_pairwise_sum`` and ``_cluster_sums``),
+    so the labels and each restart's sum of squares are bit for bit that
+    loop's.
 
     Deterministic given the seed.  Degenerate inputs (fewer distinct
     points than k) may leave clusters empty; the surviving labels are
-    still valid in [0, k); ``restarts`` below 1 runs one.  Raises
-    InvalidInputError for points that are not a finite N x D matrix with
-    D >= 1 or whose squared distances overflow, for a non-integer
-    ``k``, ``restarts`` or ``max_iter``, and for a seed numpy refuses.
+    still valid in [0, k).  Raises InvalidInputError for points that are
+    not a finite N x D matrix with D >= 1 or whose squared distances
+    overflow, for a non-integer ``k``, and for a seed numpy refuses.
     """
     points = float_array(points, "points")
     if points.ndim != 2 or points.shape[1] == 0:
@@ -466,17 +462,15 @@ def kmeans(
     n, d = points.shape
     if not (is_integer(k) and 1 <= k <= n):
         raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}] for {n} points")
-    if not (is_integer(restarts) and is_integer(max_iter)):
-        raise InvalidInputError(f"restarts={restarts!r} and max_iter={max_iter!r} must be integers")
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
     rng = seeded_rng(seed)
     cols = np.ascontiguousarray(points.T)
-    starts = np.stack([_plusplus_centroids(cols, k, rng) for _ in range(max(1, restarts))])
+    starts = np.stack([_plusplus_centroids(cols, k, rng) for _ in range(_RESTARTS)])
     block = max(1, _LLOYD_BLOCK_VALUES // (n * k * d))
     best_labels, best_wcss = None, np.inf
     for first in range(0, len(starts), block):
-        labels, wcss = _lloyd(points, starts[first : first + block], max_iter)
+        labels, wcss = _lloyd(points, starts[first : first + block], _MAX_ITER)
         i = int(wcss.argmin())
         if wcss[i] < best_wcss:
             best_labels, best_wcss = labels[i], wcss[i]

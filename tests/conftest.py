@@ -8,10 +8,21 @@ from pathlib import Path
 
 import numpy as np
 
+from blockfactor.bench import CSV_COLUMNS
 from blockfactor.blockmodels import DcsbmParams, SbmParams, population_laplacian
 from blockfactor.graphs import Graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# simulate CSVs that winner_counts cannot read, each with the text its
+# BlockfactorError must hold besides the file's path
+_HEADER = ",".join(CSV_COLUMNS)
+MALFORMED_CSVS = {
+    "experiment and method only": ("experiment,method\ne,a\n", "lacks column(s) sweep, sweep_value, seed, nmi,"),
+    "no nmi column": (_HEADER.replace("nmi,", "") + "\ne,avg_degree,10,a,0,0.1,5,,,01\n", "lacks column(s) nmi"),
+    "blank nmi": (_HEADER + "\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,,0.1,5,,,01\n",
+                  "line 3: cannot read nmi ''"),
+}
 
 
 def fresh_interpreter(args: list[str], **env: str) -> subprocess.CompletedProcess:

@@ -1,11 +1,12 @@
 """Benchmark harness: specs, simulation sweeps, CSV, winners, realdata."""
 
+import csv
 import json
 import time
 
 import numpy as np
 import pytest
-from conftest import SRC, fresh_output
+from conftest import MALFORMED_CSVS, SRC, fresh_output
 from scipy.sparse import issparse
 
 import blockfactor.bench as bench
@@ -218,6 +219,26 @@ class TestRunSimulation:
         with pytest.raises(BlockfactorError):
             verify_csv_rows(spec, path, fraction=1.0)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("seed", "x", "cannot read seed 'x'"),
+        ("sweep_value", "", "cannot read sweep_value ''"),
+        ("labels", "01x", "cannot read labels"),
+        ("misclustering_rate", "", "cannot read misclustering_rate ''"),
+        ("nmi", "nan", "stored metrics do not match"),
+    ])
+    def test_spot_check_names_the_unreadable_line(self, tmp_path, column, value, message):
+        spec = tiny_spec()
+        path = tmp_path / "out.csv"
+        write_csv(run_simulation(spec), path)
+        records = read_csv(path)
+        records[1][column] = value
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(records)
+        with pytest.raises(BlockfactorError, match=f"line 3: {message}"):
+            verify_csv_rows(spec, path, fraction=1.0)
+
     @pytest.mark.parametrize("overrides", [
         dict(avg_degree=[8, 12.5]),
         dict(model="dcsbm", sweep="beta", beta=[3, 2.5], avg_degree=8),
@@ -319,6 +340,14 @@ class TestWinners:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(BlockfactorError):
             winner_counts([path])
+
+    @pytest.mark.parametrize("text, message", MALFORMED_CSVS.values(), ids=MALFORMED_CSVS.keys())
+    def test_unreadable_csv_names_path_and_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(BlockfactorError) as exc:
+            winner_counts([path])
+        assert str(exc.value).startswith(str(path)) and message in str(exc.value)
 
 
 class TestRunMethod:

@@ -20,6 +20,7 @@ from blockfactor.blockmodels import (  # the O(n log n) and unranking helpers
     _clipped_entries,
     _clipped_mean_degree,
     _first_above,
+    _sorted_blocks,
     _unrank_pairs,
 )
 from blockfactor.errors import (
@@ -320,8 +321,10 @@ def preset_80_steps(n, k, snr, target_avg_degree, beta, seed):
         theta[mask] = theta[mask] / theta[mask].sum()
     pattern = np.ones((k, k)) + (snr - 1.0) * np.eye(k)
 
+    blocks = _sorted_blocks(z, theta, k)
+
     def clipped_mean(scale):
-        return _clipped_mean_degree(z, theta, scale * pattern)
+        return _clipped_mean_degree(z, theta, scale * pattern, blocks)
 
     hi = target_avg_degree * n / float(pattern.sum())
     while clipped_mean(hi) < target_avg_degree:
@@ -492,9 +495,10 @@ class TestClippingWithoutDenseMatrices:
             p = dcsbm_powerlaw_preset(n, 3, 3.0, 10.0, beta=beta, seed=seed)
             pattern = p.b_prime / p.b_prime[0, 1]
             outer = (p.theta[:, None] * p.theta[None, :]) * pattern[p.z[:, None], p.z[None, :]]
+            blocks = _sorted_blocks(p.z, p.theta, 3)
             for scale in (1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, p.b_prime[0, 1]):
                 reference = np.minimum(scale * outer, 1).sum() / n
-                fast = _clipped_mean_degree(p.z, p.theta, scale * pattern)
+                fast = _clipped_mean_degree(p.z, p.theta, scale * pattern, blocks)
                 assert fast == pytest.approx(reference, rel=1e-12)
 
     def test_warned_fraction_equals_dense_count(self):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import SRC, fresh_interpreter
+from conftest import MALFORMED_CSVS, SRC, fresh_interpreter
 
 from blockfactor.bench import METHODS, read_csv, run_method
 from blockfactor.cli import main
@@ -144,6 +144,14 @@ class TestWinnersCommand:
         assert main(["winners", str(out)]) == 0
         table = capsys.readouterr().out
         assert "cli-tiny" in table
+
+    @pytest.mark.parametrize("text, message", MALFORMED_CSVS.values(), ids=MALFORMED_CSVS.keys())
+    def test_unreadable_csv_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["winners", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {path}") and message in err
 
 
 class TestRealdataCommand:

@@ -2,14 +2,18 @@
 names, and typed errors for the matrices the eigensolver and
 ``assign_communities`` cannot use."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blockfactor.spectral as spectral
 from blockfactor.blockmodels import SbmParams, dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from blockfactor.errors import InvalidInputError, float_array, integer_array
 from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, snmf
 from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
+from blockfactor.io import save_gml, save_labels
 from blockfactor.metrics import misclustering_rate, nmi
 from blockfactor.spectral import kmeans, nmf_init_from_partition, regularized_laplacian, sym_eigs_topk
 
@@ -18,6 +22,7 @@ PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
 CYCLE_WITH_NAN = sp.csr_array(np.roll(np.eye(200), 1, axis=1) + np.roll(np.eye(200), -1, axis=1))
 CYCLE_WITH_NAN.data[0] = np.nan  # large enough for the ARPACK path
 SBM = SbmParams(z=[0, 0, 1, 1], b=[[0.5, 0.1], [0.1, 0.5]])
+NO_SUCH_DIR = Path(__file__).parent / "no such directory"  # open() would fail here
 NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 
 # each of these was silently truncated, or raised a bare numpy or scipy error
@@ -33,10 +38,6 @@ BAD_INPUT = {
     "two-dimensional seeding labels": lambda: nmf_init_from_partition([[0, 1]], 3),
     "empty seeding labels": lambda: nmf_init_from_partition([], 3),
     "string seeding k": lambda: nmf_init_from_partition([0, 1], "x"),
-    "string restarts": lambda: kmeans(POINTS, 2, 0, restarts="x"),
-    "fractional restarts": lambda: kmeans(POINTS, 2, 0, restarts=2.5),
-    "string max_iter": lambda: kmeans(POINTS, 2, 0, max_iter="x"),
-    "fractional max_iter": lambda: kmeans(POINTS, 2, 0, max_iter=1.5),
     "NaN in a CSR matrix": lambda: sym_eigs_topk(CYCLE_WITH_NAN, 2),
     "NaN in a dense matrix": lambda: sym_eigs_topk(np.array([[np.nan, 1.0], [1.0, 0.0]]), 1),
     "infinity in a dense matrix": lambda: sym_eigs_topk(np.array([[np.inf, 1.0], [1.0, 0.0]]), 1),
@@ -68,6 +69,11 @@ BAD_INPUT = {
     "complex solver matrix": lambda: snmf(np.array([[0, 1j], [1j, 0]]), 1, np.ones((2, 1))),
     "complex k-means points": lambda: kmeans(POINTS + 1j, 2, 0),
     "complex CSR matrix": lambda: sym_eigs_topk(sp.csr_array([[0, 1j], [1j, 0]]), 1),
+    "fractional labels to save": lambda: save_labels([0.5, 1.7], NO_SUCH_DIR / "labels.txt"),
+    "NaN label to save": lambda: save_labels([np.nan, 1.0], NO_SUCH_DIR / "labels.txt"),
+    "two-dimensional labels to save": lambda: save_labels([[0, 1]], NO_SUCH_DIR / "labels.txt"),
+    "fractional GML labels": lambda: save_gml(PATH, NO_SUCH_DIR / "g.gml", labels=0.9 * np.ones(3)),
+    "two-dimensional GML labels": lambda: save_gml(PATH, NO_SUCH_DIR / "g.gml", labels=np.zeros((3, 1), int)),
 }
 
 
@@ -75,6 +81,17 @@ BAD_INPUT = {
 def test_bad_input_is_a_typed_error(make):
     with pytest.raises(InvalidInputError):
         make()
+
+
+@pytest.mark.parametrize("option", ["restarts", "max_iter"])
+def test_kmeans_takes_no_restart_or_step_count(monkeypatch, option):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("k-means work started")
+
+    monkeypatch.setattr(spectral, "_plusplus_centroids", forbidden)
+    monkeypatch.setattr(spectral, "_lloyd", forbidden)
+    with pytest.raises(TypeError, match=option):
+        kmeans(POINTS, 2, 0, **{option: 5})
 
 
 def test_integer_array_passes_int64_arrays_as_they_are():

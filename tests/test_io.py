@@ -257,6 +257,18 @@ class TestLabelsFile:
             save_labels(np.array([0, 1]), p, names=["ok", name])
         assert not p.exists()
 
+    @pytest.mark.parametrize("labels", [[np.nan, 1.0], [0.5, 1.7], [[0], [1]]], ids=["NaN", "fractional", "2-D"])
+    @pytest.mark.parametrize("save", ["labels", "gml"])
+    def test_bad_labels_leave_an_existing_file_unchanged(self, tmp_path, labels, save):
+        p = tmp_path / "out.txt"
+        p.write_text("7\n8\n")
+        with pytest.raises(InvalidInputError, match="labels"):
+            if save == "labels":
+                save_labels(labels, p)
+            else:
+                save_gml(Graph.from_edges(2, [(0, 1)]), p, labels=labels)
+        assert p.read_text() == "7\n8\n"
+
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
     def test_names_not_one_per_label_rejected_before_writing(self, tmp_path, names):
         p = tmp_path / "labels.txt"

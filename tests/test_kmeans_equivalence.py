@@ -1,8 +1,11 @@
 """The batched k-means against a frozen copy of the one-restart-at-a-time loop.
 
 ``reference_kmeans`` below is the k-means the package shipped before its
-restarts were batched.  The batched loop must give the same labels, and
-each restart the same within-cluster sum of squares, bit for bit.
+restarts were batched, at the 20 restarts of at most 100 Lloyd steps that
+``kmeans`` always runs.  The batched loop must give the same labels, and
+each restart the same within-cluster sum of squares, bit for bit.  Other
+restart and step counts are compared restart by restart, through
+``_lloyd``.
 """
 
 import tracemalloc
@@ -60,13 +63,13 @@ def reference_lloyd(points, centroids, max_iter):
     return labels, wcss
 
 
-def reference_kmeans(points, k, seed, restarts=20, max_iter=100):
+def reference_kmeans(points, k, seed):
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(20):
         centroids = reference_plusplus(points, k, rng)
-        labels, wcss = reference_lloyd(points, centroids, max_iter)
+        labels, wcss = reference_lloyd(points, centroids, 100)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels.astype(np.int64)
@@ -75,14 +78,19 @@ def reference_kmeans(points, k, seed, restarts=20, max_iter=100):
 # ---- comparison -----------------------------------------------------------
 
 
-def assert_same_as_reference(points, k, seed, restarts=20, max_iter=100):
+def assert_same_as_reference(points, k, seed):
     """Same labels from kmeans, and the same labels and WCSS per restart."""
-    expected = reference_kmeans(points, k, seed, restarts, max_iter)
-    got = kmeans(points, k, seed, restarts=restarts, max_iter=max_iter)
+    got = kmeans(points, k, seed)
     assert got.dtype == np.int64
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got, reference_kmeans(points, k, seed))
+    assert_same_restarts(points, k, seed, spectral._RESTARTS, spectral._MAX_ITER)
+
+
+def assert_same_restarts(points, k, seed, restarts, max_iter):
+    """The reference's first `restarts` k-means++ starts, each run for at
+    most `max_iter` steps, end with the same labels and WCSS in _lloyd."""
     rng = np.random.default_rng(seed)
-    starts = [reference_plusplus(points, k, rng) for _ in range(max(1, restarts))]
+    starts = [reference_plusplus(points, k, rng) for _ in range(restarts)]
     labels, wcss = _lloyd(points, np.stack(starts), max_iter)
     for r, start in enumerate(starts):
         ref_labels, ref_wcss = reference_lloyd(points, start.copy(), max_iter)
@@ -117,15 +125,19 @@ def embeddings():
 
 
 class TestGraphEmbeddings:
-    @pytest.mark.parametrize("restarts", [0, 1, 20])
-    def test_labels_and_restart_wcss_match(self, embeddings, restarts):
+    def test_labels_and_restart_wcss_match(self, embeddings):
         for i, rows in enumerate(embeddings):
-            assert_same_as_reference(rows, rows.shape[1], seed=[i, 7], restarts=restarts)
+            assert_same_as_reference(rows, rows.shape[1], seed=[i, 7])
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_fewer_restarts_match(self, embeddings, restarts):
+        for i, rows in enumerate(embeddings):
+            assert_same_restarts(rows, rows.shape[1], [i, 7], restarts, spectral._MAX_ITER)
 
     def test_max_iter_stops_restarts_mid_run(self, embeddings):
         for i, rows in enumerate(embeddings):
             for max_iter in (0, 1, 2):
-                assert_same_as_reference(rows, rows.shape[1], seed=i, max_iter=max_iter)
+                assert_same_restarts(rows, rows.shape[1], i, spectral._RESTARTS, max_iter)
 
 
 def random_points(rng):
@@ -145,9 +157,12 @@ class TestRandomInputs:
         reseeded = 0
         for trial in range(320):
             points, k, distinct = random_points(rng)
-            restarts = int(rng.choice([0, 1, 3, 20]))
+            restarts = int(rng.choice([1, 3, 20]))
             max_iter = int(rng.choice([0, 1, 2, 5, 100]))
-            assert_same_as_reference(points, k, seed=trial, restarts=restarts, max_iter=max_iter)
+            if (restarts, max_iter) == (spectral._RESTARTS, spectral._MAX_ITER):
+                assert_same_as_reference(points, k, seed=trial)
+            else:
+                assert_same_restarts(points, k, trial, restarts, max_iter)
             reseeded += distinct < k and max_iter > 0
         assert reseeded >= 50
 
@@ -199,7 +214,7 @@ class TestBlocks:
         points = rng.standard_normal((8000, 3)) + 4 * rng.integers(0, 3, size=(8000, 1))
         tracemalloc.start()
         try:
-            kmeans(points, 3, seed=0, max_iter=3)
+            kmeans(points, 3, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
