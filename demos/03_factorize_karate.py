@@ -16,18 +16,19 @@ from blockfactor import (
 )
 from blockfactor.datasets import karate
 from blockfactor.metrics import misclustered_nodes
+from blockfactor.spectral import VARIANTS
 
 g, truth = karate()
 lap = normalized_laplacian(g)
 
 print("spectral baselines")
-for variant in ("plain", "regularized", "regularized_no_projection"):
-    labels = spectral_clustering(g, 2, variant=variant, seed=0)
-    print(f"  {variant:28s} misclustered={misclustered_count(truth, labels)} "
+for method in VARIANTS:
+    labels = spectral_clustering(g, 2, method, seed=0)
+    print(f"  {method:12s} misclustered={misclustered_count(truth, labels)} "
           f"nmi={nmi(truth, labels):.4f}")
 
 print("matrix factorizations (seeded from regularized spectral clustering)")
-init = spectral_clustering(g, 2, "regularized", seed=0)
+init = spectral_clustering(g, 2, "reg-spectral", seed=0)
 h0 = nmf_init_from_partition(init, 2)
 for solver, name in ((snmf, "snmf"), (osntf, "osntf")):
     f = solver(lap, 2, h0)

@@ -26,6 +26,7 @@ from .graphs import (
     degrees,
     largest_connected_component,
     normalized_laplacian,
+    regularized_laplacian,
     symmetrize_directed,
 )
 from .io import load_edgelist, load_gml, load_graph, save_edgelist, save_gml
@@ -34,7 +35,6 @@ from .spectral import (
     EigenPairs,
     kmeans,
     nmf_init_from_partition,
-    regularized_laplacian,
     spectral_clustering,
     sym_eigs_topk,
 )
@@ -45,6 +45,7 @@ __all__ = [
     "Graph",
     "degrees",
     "normalized_laplacian",
+    "regularized_laplacian",
     "largest_connected_component",
     "symmetrize_directed",
     "load_graph",
@@ -71,7 +72,6 @@ __all__ = [
     "sym_eigs_topk",
     "kmeans",
     "spectral_clustering",
-    "regularized_laplacian",
     "nmf_init_from_partition",
     "nmi",
     "misclustering_rate",

@@ -22,7 +22,7 @@ from .datasets import load_dataset
 from .errors import BlockfactorError, InvalidInputError, is_integer, is_real
 from .factorization import SolverConfig, assign_communities, osntf, snmf
 from .graphs import Graph, largest_connected_component, normalized_laplacian
-from .metrics import misclustering_rate, nmi
+from .metrics import misclustered_count, misclustering_rate, nmi
 from .spectral import VARIANTS, graph_eigenvectors, kmeans, nmf_init_from_partition, sym_eigs_topk, unit_rows
 
 # Not called here, but bound in this module because perfbench/tracing.py
@@ -47,22 +47,14 @@ __all__ = [
     "format_winner_table",
 ]
 
-METHODS = ("snmf", "osntf", "spectral", "reg-spectral", "spectral-wp")
+# the NMF methods, then the spectral ones; METHODS[:4] is the default list
+METHODS = ("snmf", "osntf", *VARIANTS)
 
 # Sub-stream tags appended to the replicate seed, so each random purpose
 # draws from its own generator.
 _STREAM_THETA = 0
 _STREAM_GRAPH = 1
 _STREAM_KMEANS = 2
-
-
-# The spectral.VARIANTS entry each spectral method clusters by.
-# "reg-spectral" also seeds the NMF methods.
-_SPECTRAL = {
-    "spectral": VARIANTS["plain"],
-    "reg-spectral": VARIANTS["regularized"],
-    "spectral-wp": VARIANTS["regularized_no_projection"],
-}
 
 
 @dataclass
@@ -130,12 +122,6 @@ def _check_methods(methods: Sequence[str]):
             raise InvalidInputError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def _check_method_options(g: Graph, k: int, methods: Sequence[str]):
-    _check_methods(methods)
-    if not (is_integer(k) and 1 <= k <= g.n):
-        raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
-
-
 def _run_one(stages: _SharedStages, method: str, cfg: SolverConfig):
     """One method on the shared graph: a spectral method's own partition,
     or an NMF method's factorization of L from the "reg-spectral" partition.
@@ -143,9 +129,9 @@ def _run_one(stages: _SharedStages, method: str, cfg: SolverConfig):
     The partition and L, computed here or reused, are charged at their
     recorded cost.
     """
-    labels, shared_s = stages.partition(*_SPECTRAL.get(method, _SPECTRAL["reg-spectral"]))
+    labels, shared_s = stages.partition(*VARIANTS.get(method, VARIANTS["reg-spectral"]))
     start = time.perf_counter()
-    if method in _SPECTRAL:
+    if method in VARIANTS:
         out = MethodOutput(labels=labels)
     else:
         k = stages.k
@@ -183,7 +169,9 @@ def run_methods(
     "reg-spectral".  Every argument is checked before any of that work
     starts.
     """
-    _check_method_options(g, k, methods)
+    _check_methods(methods)
+    if not (is_integer(k) and 1 <= k <= g.n):
+        raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
     stages = _SharedStages(g, k, seed)
     return [_run_one(stages, method, cfg) for method in methods]
 
@@ -420,6 +408,13 @@ def _field(rec: dict, name: str, convert, where: str):
         raise BlockfactorError(f"{where}: cannot read {name} {rec[name]!r}") from None
 
 
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ValueError(text)
+    return value
+
+
 def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     """Recompute metrics from persisted labels for a deterministic sample of rows.
 
@@ -470,7 +465,7 @@ def summarize(rows: Sequence[ResultRow]) -> str:
 
 def realdata_table(
     dataset: str,
-    methods: Sequence[str] = ("snmf", "osntf", "spectral", "reg-spectral"),
+    methods: Sequence[str] = METHODS[:4],
     seed=0,
     k: int = 2,
     nmi_variant: str = "sum",
@@ -479,13 +474,12 @@ def realdata_table(
     g, truth = load_dataset(dataset)
     out = []
     for method, res in zip(methods, run_methods(g, k, methods, seed=seed)):
-        rate, _ = misclustering_rate(truth, res.labels)
         out.append(
             {
                 "dataset": dataset,
                 "method": method,
                 "n": g.n,
-                "misclustered": round(rate * g.n),
+                "misclustered": misclustered_count(truth, res.labels),
                 "nmi": nmi(truth, res.labels, variant=nmi_variant),
                 "iterations": res.iterations,
                 "labels": res.labels,
@@ -505,12 +499,13 @@ def format_realdata_table(rows: list[dict]) -> str:
 
 def winner_counts(csv_paths: Sequence) -> dict:
     """Count, per experiment and method, how often the method attains the
-    best NMI in a (sweep value, replicate) cell; ties award every method."""
+    best NMI in a (sweep value, replicate) cell; ties award every method.
+    An nmi outside [0, 1], NaN included, raises BlockfactorError."""
     cells: dict[tuple, list[tuple[str, float]]] = {}
     methods_seen: set[str] = set()
     for path in csv_paths:
         for where, rec in _located_rows(path):
-            value = _field(rec, "nmi", float, where)
+            value = _field(rec, "nmi", _unit_interval, where)
             cells.setdefault((rec["experiment"], rec["sweep_value"], rec["seed"]), []).append((rec["method"], value))
             methods_seen.add(rec["method"])
     counts: dict[tuple[str, str], int] = {}

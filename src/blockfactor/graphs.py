@@ -1,9 +1,10 @@
 """Undirected simple graphs: construction, degrees, Laplacians, components.
 
-Graph matrices (the adjacency matrix and the normalized Laplacian) are
-scipy CSR (compressed sparse row) arrays built from ``Graph.edge_array``
-on demand, O(n + m) in time and memory.  scipy is imported on the first
-such build or component search, not when this module is imported.
+Graph matrices (the adjacency matrix and the normalized Laplacians L and
+L_tau) are scipy CSR (compressed sparse row) arrays built from
+``Graph.edge_array`` on demand, O(n + m) in time and memory.  scipy is
+imported on the first such build or component search, not when this
+module is imported.
 """
 
 import sys
@@ -19,6 +20,7 @@ __all__ = [
     "Graph",
     "degrees",
     "normalized_laplacian",
+    "regularized_laplacian",
     "largest_connected_component",
     "induced_subgraph",
     "symmetrize_directed",
@@ -200,6 +202,18 @@ def normalized_laplacian(g: Graph):
     if zero.size:
         raise IsolatedNodeError(int(zero[0]))
     return _scaled_adjacency(g, 1.0 / np.sqrt(d.astype(np.float64)))
+
+
+def regularized_laplacian(g: Graph):
+    """L_tau = (D + tau I)^{-1/2} A (D + tau I)^{-1/2} as a read-only CSR
+    array, with tau the average node degree (Qin & Rohe, NeurIPS 2013).
+
+    Defined for any graph, including ones with isolated nodes.
+    """
+    d = degrees(g).astype(np.float64)
+    reg = d + (d.mean() if g.n else 0.0)
+    # reg is 0 only on an edgeless graph's nodes, whose weight never enters
+    return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
 
 
 def _component_labels(g: Graph) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 from .errors import InvalidInputError, LengthMismatchError, TooManyLabelsError, integer_array
 
 __all__ = [
+    "NMI_VARIANTS",
     "confusion_table",
     "nmi",
     "misclustering_rate",
@@ -15,6 +16,7 @@ __all__ = [
 ]
 
 MAX_EXACT_LABELS = 8
+NMI_VARIANTS = ("sum", "sqrt", "max", "min")
 
 
 def _as_labels(a) -> np.ndarray:
@@ -42,14 +44,14 @@ def confusion_table(a, b) -> np.ndarray:
 def nmi(a, b, variant: str = "sum") -> float:
     """Normalized mutual information between two partitions, in [0, 1].
 
-    The default normalizes by the mean entropy, 2 I(a;b) / (H(a) + H(b)),
-    with natural logarithms and 0 log 0 = 0.  Other normalizations are
-    available for matching published numbers: "sqrt" (geometric mean),
-    "max" and "min".  When both partitions are single-class (zero total
+    The default, "sum", normalizes by the mean entropy, 2 I(a;b) / (H(a) +
+    H(b)), with natural logarithms and 0 log 0 = 0.  The other
+    ``NMI_VARIANTS``, for matching published numbers, are "sqrt"
+    (geometric mean), "max" and "min".  When both partitions are single-class (zero total
     entropy) the partitions agree trivially and the value is 1.
     """
-    if variant not in ("sum", "avg", "sqrt", "max", "min"):
-        raise InvalidInputError(f"unknown NMI variant {variant!r}")
+    if variant not in NMI_VARIANTS:
+        raise InvalidInputError(f"unknown NMI variant {variant!r}; choose from {NMI_VARIANTS}")
     counts = confusion_table(a, b)
     pij = counts / counts.sum()
     pa = pij.sum(axis=1)
@@ -61,7 +63,7 @@ def nmi(a, b, variant: str = "sum") -> float:
     info = max(0.0, h_a + h_b - h_ab)
     if h_a + h_b == 0.0:
         return 1.0
-    if variant in ("sum", "avg"):
+    if variant == "sum":
         denom = 0.5 * (h_a + h_b)
     elif variant == "sqrt":
         denom = float(np.sqrt(h_a * h_b))

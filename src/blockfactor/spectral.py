@@ -28,13 +28,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConvergenceError, float_array, integer_array, is_integer, is_real, seeded_rng
-from .graphs import Graph, _scaled_adjacency, as_matrix, degrees, is_symmetric, normalized_laplacian
+from .graphs import Graph, as_matrix, is_symmetric, normalized_laplacian, regularized_laplacian
 
 __all__ = [
     "EigenPairs",
     "sym_eigs_topk",
     "kmeans",
-    "regularized_laplacian",
     "graph_eigenvectors",
     "unit_rows",
     "VARIANTS",
@@ -479,22 +478,6 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     return best_labels.astype(np.int64)
 
 
-def regularized_laplacian(g: Graph, tau: Optional[float] = None):
-    """L_tau = (D + tau I)^{-1/2} A (D + tau I)^{-1/2}, a read-only CSR array.
-
-    tau defaults to the average node degree and must be nonnegative.
-    Defined for any graph, including ones with isolated nodes.
-    """
-    d = degrees(g).astype(np.float64)
-    if tau is None:
-        tau = float(d.mean()) if g.n else 0.0
-    if not (is_real(tau) and tau >= 0):
-        raise InvalidInputError(f"tau must be nonnegative, got {tau}")
-    reg = d + tau
-    # reg is 0 only on isolated nodes at tau = 0, whose weight never enters
-    return _scaled_adjacency(g, 1.0 / np.sqrt(np.where(reg > 0, reg, 1.0)))
-
-
 def graph_eigenvectors(g: Graph, k: int, matrix: str = "laplacian") -> np.ndarray:
     """The n x k top eigenvectors of one of the graph's Laplacians.
 
@@ -516,27 +499,27 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-# Spectral-clustering variant -> (graph matrix of ``graph_eigenvectors``,
+# Spectral-clustering method -> (graph matrix of ``graph_eigenvectors``,
 # rows scaled to unit length before k-means).
 VARIANTS = {
-    "plain": ("laplacian", False),
-    "regularized": ("regularized", True),
-    "regularized_no_projection": ("regularized", False),
+    "spectral": ("laplacian", False),
+    "reg-spectral": ("regularized", True),
+    "spectral-wp": ("regularized", False),
 }
 
 
-def spectral_clustering(g: Graph, k: int, variant: str = "plain", seed=0) -> np.ndarray:
+def spectral_clustering(g: Graph, k: int, method: str = "spectral", seed=0) -> np.ndarray:
     """Spectral clustering on the normalized Laplacian, by ``VARIANTS`` entry:
 
-      * "plain": k-means on the raw rows of the top-k eigenvectors of L;
+      * "spectral": k-means on the raw rows of the top-k eigenvectors of L;
         requires every node to have an edge.
-      * "regularized": eigenvectors of L_tau, tau the average degree, rows
+      * "reg-spectral": eigenvectors of L_tau, tau the average degree, rows
         projected to the unit circle (zero rows left alone) before k-means.
-      * "regularized_no_projection": same without the row normalization.
+      * "spectral-wp": same without the row normalization.
     """
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"unknown spectral variant {variant!r}")
-    matrix, unit = VARIANTS[variant]
+    if method not in VARIANTS:
+        raise InvalidInputError(f"unknown spectral method {method!r}; choose from {tuple(VARIANTS)}")
+    matrix, unit = VARIANTS[method]
     rows = graph_eigenvectors(g, k, matrix)
     return kmeans(unit_rows(rows) if unit else rows, k, seed=seed)
 

@@ -22,6 +22,12 @@ MALFORMED_CSVS = {
     "no nmi column": (_HEADER.replace("nmi,", "") + "\ne,avg_degree,10,a,0,0.1,5,,,01\n", "lacks column(s) nmi"),
     "blank nmi": (_HEADER + "\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,,0.1,5,,,01\n",
                   "line 3: cannot read nmi ''"),
+    # an nmi outside [0, 1] would win, or leave its cell without a winner
+    **{
+        f"{kind} nmi": (_HEADER + f"\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,{value},0.1,5,,,01\n",
+                        f"line 3: cannot read nmi '{value}'")
+        for kind, value in [("NaN", "nan"), ("infinite", "inf"), ("negative", "-0.1"), ("above 1", "1.5")]
+    },
 }
 
 

@@ -356,12 +356,18 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method(g, 2, "bogus", seed=0)
 
-    def test_spectral_methods_use_the_spectral_variants(self):
-        assert bench._SPECTRAL == {
-            "spectral": spectral.VARIANTS["plain"],
-            "reg-spectral": spectral.VARIANTS["regularized"],
-            "spectral-wp": spectral.VARIANTS["regularized_no_projection"],
-        }
+    def test_methods_are_the_nmf_methods_then_the_spectral_variants(self):
+        assert METHODS == ("snmf", "osntf", "spectral", "reg-spectral", "spectral-wp")
+        assert METHODS[2:] == tuple(spectral.VARIANTS)
+
+    @pytest.mark.parametrize("method", list(spectral.VARIANTS))
+    @pytest.mark.parametrize("graph", ["karate", "dcsbm"])
+    @pytest.mark.filterwarnings("ignore:clipped")
+    def test_spectral_clustering_is_the_method(self, graph, method):
+        g, k = (karate()[0], 2) if graph == "karate" else (dcsbm_graph(), 3)
+        for seed in (0, 7):
+            expected = run_method(g, k, method, seed).labels
+            assert np.array_equal(spectral_clustering(g, k, method, seed), expected)
 
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
     def test_target_built_after_reg_spectral_partition(self, monkeypatch, method):
@@ -408,7 +414,7 @@ class TestReportedResidual:
             g, k = dcsbm_graph(), 3
         out = run_method(g, k, method, seed=0)
         x = normalized_laplacian(g)
-        h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
+        h0 = nmf_init_from_partition(spectral_clustering(g, k, "reg-spectral", seed=0), k)
         f = (snmf if method == "snmf" else osntf)(x, k, h0)
         assert np.array_equal(out.labels, assign_communities(f.h))
         assert type(out.residual) is float

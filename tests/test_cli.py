@@ -10,6 +10,7 @@ from blockfactor.bench import METHODS, read_csv, run_method
 from blockfactor.cli import main
 from blockfactor.datasets import data_dir
 from blockfactor.io import load_graph
+from blockfactor.metrics import NMI_VARIANTS
 
 
 @pytest.fixture
@@ -185,6 +186,13 @@ class TestRealdataCommand:
             main(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+    def test_nmi_variants_are_the_metric_ones(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["realdata", "karate", "--nmi-variant", "avg"])
+        assert exc.value.code == 2
+        choices = ", ".join(map(repr, NMI_VARIANTS))
+        assert f"invalid choice: 'avg' (choose from {choices})" in capsys.readouterr().err
 
 
 def test_python_m_blockfactor_runs_the_cli():

@@ -15,7 +15,7 @@ from blockfactor.factorization import Factorization, assign_communities, exactne
 from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
 from blockfactor.io import save_gml, save_labels
 from blockfactor.metrics import misclustering_rate, nmi
-from blockfactor.spectral import kmeans, nmf_init_from_partition, regularized_laplacian, sym_eigs_topk
+from blockfactor.spectral import kmeans, nmf_init_from_partition, sym_eigs_topk
 
 POINTS = np.random.default_rng(0).standard_normal((10, 2))
 PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -57,7 +57,6 @@ BAD_INPUT = {
     "string residual matrix": lambda: frobenius_residual([["a"]], np.ones((1, 1))),
     "string eigensolver matrix": lambda: sym_eigs_topk([["a"]], 1),
     "string H": lambda: assign_communities([["a", "b"]]),
-    "string tau": lambda: regularized_laplacian(PATH, tau="x"),
     "string seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset="x"),
     "string sampling seed": lambda: sample_graph(SBM, seed="x"),
     "string k-means seed": lambda: kmeans(POINTS, 2, "x"),

@@ -30,9 +30,9 @@ from blockfactor.factorization import (
     osntf,
     snmf,
 )
-from blockfactor.graphs import Graph, as_matrix, largest_connected_component, normalized_laplacian
+from blockfactor.graphs import Graph, as_matrix, largest_connected_component, normalized_laplacian, regularized_laplacian
 from blockfactor.metrics import misclustering_rate
-from blockfactor.spectral import kmeans, nmf_init_from_partition, regularized_laplacian
+from blockfactor.spectral import kmeans, nmf_init_from_partition
 
 
 def random_nonneg_symmetric(rng, n):

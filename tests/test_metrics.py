@@ -7,6 +7,7 @@ import pytest
 
 from blockfactor.errors import InvalidInputError, LengthMismatchError, TooManyLabelsError
 from blockfactor.metrics import (
+    NMI_VARIANTS,
     confusion_table,
     misclustered_count,
     misclustered_nodes,
@@ -88,10 +89,12 @@ class TestNmi:
             assert v_min + 1e-12 >= v_sqrt >= v_sum - 1e-12
             assert v_sum + 1e-12 >= v_max
 
-    def test_sum_equals_avg_alias(self):
-        a = [0, 1, 1, 2]
-        b = [0, 0, 1, 2]
-        assert nmi(a, b, "sum") == nmi(a, b, "avg")
+    def test_variants_are_the_four_normalizations(self):
+        assert NMI_VARIANTS == ("sum", "sqrt", "max", "min")
+
+    def test_avg_alias_is_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown NMI variant 'avg'"):
+            nmi([0, 1, 1, 2], [0, 0, 1, 2], "avg")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -20,11 +20,17 @@ from blockfactor.factorization import (
     osntf,
     snmf,
 )
-from blockfactor.graphs import Graph, as_matrix, degrees, largest_connected_component, normalized_laplacian
+from blockfactor.graphs import (
+    Graph,
+    as_matrix,
+    degrees,
+    largest_connected_component,
+    normalized_laplacian,
+    regularized_laplacian,
+)
 from blockfactor.spectral import (
     _lobpcg_topk,
     nmf_init_from_partition,
-    regularized_laplacian,
     spectral_clustering,
     sym_eigs_topk,
 )
@@ -371,7 +377,7 @@ class TestCsrSolvers:
     @pytest.mark.parametrize("solver", [snmf, osntf])
     def test_match_dense_input(self, solver):
         for g, k in GRAPHS[::4]:
-            h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
+            h0 = nmf_init_from_partition(spectral_clustering(g, k, "reg-spectral", seed=0), k)
             for x in (normalized_laplacian(g), g.adjacency):
                 dense, csr = solver(x.toarray(), k, h0), solver(x, k, h0)
                 assert np.array_equal(assign_communities(csr.h), assign_communities(dense.h))
@@ -381,7 +387,7 @@ class TestCsrSolvers:
     def test_residual_and_diagnostics_match_dense(self):
         g, k = GRAPHS[3]
         x = normalized_laplacian(g)
-        h0 = nmf_init_from_partition(spectral_clustering(g, k, "regularized", seed=0), k)
+        h0 = nmf_init_from_partition(spectral_clustering(g, k, "reg-spectral", seed=0), k)
         f = osntf(x, k, h0)
         norm_x = np.linalg.norm(x.toarray())
         exact = frobenius_residual(x.toarray(), f.h, f.s)

@@ -5,14 +5,14 @@ import pytest
 
 from blockfactor.blockmodels import SbmParams, population_laplacian
 from blockfactor.errors import InvalidInputError
-from blockfactor.graphs import Graph, normalized_laplacian
+from blockfactor.graphs import Graph, normalized_laplacian, regularized_laplacian
 from blockfactor.metrics import misclustered_count, misclustering_rate
 from blockfactor.spectral import (
+    VARIANTS,
     _lloyd,
     graph_eigenvectors,
     kmeans,
     nmf_init_from_partition,
-    regularized_laplacian,
     spectral_clustering,
     sym_eigs_topk,
 )
@@ -136,7 +136,7 @@ class TestKmeans:
 class TestSpectralClustering:
     def test_two_disjoint_cliques_plain(self):
         g = two_cliques()
-        labels = spectral_clustering(g, 2, "plain", seed=0)
+        labels = spectral_clustering(g, 2, "spectral", seed=0)
         truth = np.array([0] * 5 + [1] * 6)
         assert misclustered_count(truth, labels) == 0
 
@@ -145,28 +145,39 @@ class TestSpectralClustering:
 
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(IsolatedNodeError):
-            spectral_clustering(g, 2, "plain", seed=0)
+            spectral_clustering(g, 2, "spectral", seed=0)
 
     def test_regularized_tolerates_isolated_nodes(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        for variant in ("regularized", "regularized_no_projection"):
-            labels = spectral_clustering(g, 2, variant, seed=0)
+        for method in ("reg-spectral", "spectral-wp"):
+            labels = spectral_clustering(g, 2, method, seed=0)
             assert labels.shape == (4,)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             spectral_clustering(two_cliques(), 2, "bogus", seed=0)
 
-    def test_regularized_laplacian_default_tau(self):
+    def test_variants_are_the_method_names(self):
+        assert VARIANTS == {
+            "spectral": ("laplacian", False),
+            "reg-spectral": ("regularized", True),
+            "spectral-wp": ("regularized", False),
+        }
+
+    @pytest.mark.parametrize("old", ["plain", "regularized", "regularized_no_projection"])
+    def test_old_variant_names_are_refused(self, old):
+        with pytest.raises(InvalidInputError, match=f"unknown spectral method '{old}'"):
+            spectral_clustering(two_cliques(), 2, old, seed=0)
+
+    def test_regularized_laplacian_shrinks_entries(self):
         g = two_cliques()
         lap = regularized_laplacian(g).toarray()
         assert np.array_equal(lap, lap.T)
         assert lap.max() < 1.0  # regularization strictly shrinks entries
 
-    def test_negative_tau_rejected(self):
-        # d + tau <= 0 would zero some rows and push other entries above 1
-        with pytest.raises(ValueError, match="tau"):
-            regularized_laplacian(two_cliques(), tau=-3.0)
+    def test_regularized_laplacian_takes_no_tau(self):
+        with pytest.raises(TypeError, match="tau"):
+            regularized_laplacian(two_cliques(), tau=1.0)
 
 
 class TestTypedErrors:
@@ -200,12 +211,8 @@ class TestTypedErrors:
         with pytest.raises(InvalidInputError, match="square"):
             sym_eigs_topk(np.zeros((3, 4)), 1)
 
-    def test_negative_tau(self):
-        with pytest.raises(InvalidInputError, match="tau"):
-            regularized_laplacian(two_cliques(), tau=-1.0)
-
     def test_unknown_variant(self):
-        with pytest.raises(InvalidInputError, match="variant"):
+        with pytest.raises(InvalidInputError, match="spectral method"):
             spectral_clustering(two_cliques(), 2, "bogus", seed=0)
 
     def test_labels_out_of_range(self):
