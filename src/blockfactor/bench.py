@@ -21,14 +21,15 @@ from .blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from .datasets import load_dataset
 from .errors import BlockfactorError, InvalidInputError, is_integer, is_real
 from .factorization import SolverConfig, assign_communities, osntf, snmf
-from .graphs import Graph, largest_connected_component, normalized_laplacian
+from .graphs import Graph, largest_connected_component
 from .metrics import misclustered_count, misclustering_rate, nmi
-from .spectral import VARIANTS, graph_eigenvectors, kmeans, nmf_init_from_partition, sym_eigs_topk, unit_rows
+from .spectral import VARIANTS, SharedStages, nmf_init_from_partition
 
 # Not called here, but bound in this module because perfbench/tracing.py
 # wraps them where bench looks them up.
 from .factorization import frobenius_residual  # noqa: F401
-from .spectral import spectral_clustering  # noqa: F401
+from .graphs import normalized_laplacian  # noqa: F401
+from .spectral import kmeans, spectral_clustering, sym_eigs_topk  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -74,62 +75,22 @@ class MethodOutput:
     wall_time_s: float = 0.0
 
 
-class _SharedStages:
-    """The stages of the methods run on one graph, each done once.
-
-    A stage is the normalized Laplacian L, the top-k eigensolve of one
-    graph matrix, or the k-means partition of one embedding of it.  Each
-    is kept with the seconds it took.  L is the one matrix kept: its
-    eigensolve and both NMF targets use it, and as CSR it is O(m).
-    """
-
-    def __init__(self, g: Graph, k: int, seed):
-        self.g = g
-        self.k = k
-        self.seed = seed
-        self._done: dict[tuple, tuple[np.ndarray, float]] = {}
-
-    def _stage(self, key: tuple, compute) -> tuple[np.ndarray, float]:
-        if key not in self._done:
-            start = time.perf_counter()
-            value = compute()
-            self._done[key] = (value, time.perf_counter() - start)
-        return self._done[key]
-
-    def laplacian(self):
-        """L as a read-only CSR array, and the seconds it took to build."""
-        return self._stage(("L",), lambda: normalized_laplacian(self.g))
-
-    def partition(self, matrix: str, unit: bool) -> tuple[np.ndarray, float]:
-        """k-means labels of the top-k eigenvectors of ``matrix`` (rows scaled
-        to unit length when ``unit``), and the seconds every stage took."""
-        if matrix == "laplacian":
-            lap, build_s = self.laplacian()
-            vectors, eigs_s = self._stage((matrix,), lambda: sym_eigs_topk(lap, self.k).vectors)
-            eigs_s += build_s
-        else:
-            vectors, eigs_s = self._stage((matrix,), lambda: graph_eigenvectors(self.g, self.k, matrix))
-        labels, kmeans_s = self._stage(
-            (matrix, unit),
-            lambda: kmeans(unit_rows(vectors) if unit else vectors, self.k, seed=self.seed),
-        )
-        return labels, eigs_s + kmeans_s
-
-
 def _check_methods(methods: Sequence[str]):
     for method in methods:
         if method not in METHODS:
             raise InvalidInputError(f"unknown method {method!r}; choose from {METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise InvalidInputError(f"methods must be a nonempty list without repeats, got {list(methods)}")
 
 
-def _run_one(stages: _SharedStages, method: str, cfg: SolverConfig):
+def _run_one(stages: SharedStages, method: str, cfg: SolverConfig):
     """One method on the shared graph: a spectral method's own partition,
     or an NMF method's factorization of L from the "reg-spectral" partition.
 
     The partition and L, computed here or reused, are charged at their
     recorded cost.
     """
-    labels, shared_s = stages.partition(*VARIANTS.get(method, VARIANTS["reg-spectral"]))
+    labels, shared_s = stages.partition(method if method in VARIANTS else "reg-spectral")
     start = time.perf_counter()
     if method in VARIANTS:
         out = MethodOutput(labels=labels)
@@ -172,7 +133,7 @@ def run_methods(
     _check_methods(methods)
     if not (is_integer(k) and 1 <= k <= g.n):
         raise InvalidInputError(f"k must be an integer in [1, {g.n}] for this graph, got {k!r}")
-    stages = _SharedStages(g, k, seed)
+    stages = SharedStages(g, k, seed)
     return [_run_one(stages, method, cfg) for method in methods]
 
 
@@ -242,6 +203,8 @@ class ExperimentSpec:
                 if not kind(v):
                     noun = "an integer" if kind is is_integer else "a number"
                     raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
+        if len(set(values)) < len(values):  # [10, 10.0] would sample one graph twice
+            raise InvalidInputError(f"swept field {self.sweep!r} repeats a value: {values!r}")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
         _check_methods(self.methods)
@@ -500,14 +463,19 @@ def format_realdata_table(rows: list[dict]) -> str:
 def winner_counts(csv_paths: Sequence) -> dict:
     """Count, per experiment and method, how often the method attains the
     best NMI in a (sweep value, replicate) cell; ties award every method.
-    An nmi outside [0, 1], NaN included, raises BlockfactorError."""
+    An nmi outside [0, 1], NaN included, or a row whose (experiment,
+    sweep_value, seed, method) an earlier row of any of the files already
+    had, raises BlockfactorError."""
     cells: dict[tuple, list[tuple[str, float]]] = {}
-    methods_seen: set[str] = set()
+    seen: dict[tuple, str] = {}  # (experiment, sweep_value, seed, method) -> where
     for path in csv_paths:
         for where, rec in _located_rows(path):
             value = _field(rec, "nmi", _unit_interval, where)
-            cells.setdefault((rec["experiment"], rec["sweep_value"], rec["seed"]), []).append((rec["method"], value))
-            methods_seen.add(rec["method"])
+            key = tuple(rec[name] for name in ("experiment", "sweep_value", "seed", "method"))
+            if key in seen:
+                raise BlockfactorError(f"{where}: (experiment, sweep_value, seed, method) {key} already read at {seen[key]}")
+            seen[key] = where
+            cells.setdefault(key[:3], []).append((key[3], value))
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
     for (exp, _, _), entries in cells.items():
@@ -516,7 +484,7 @@ def winner_counts(csv_paths: Sequence) -> dict:
         for method, value in entries:
             if value == best:
                 counts[(exp, method)] = counts.get((exp, method), 0) + 1
-    return {"counts": counts, "cells": totals, "methods": sorted(methods_seen)}
+    return {"counts": counts, "cells": totals, "methods": sorted({key[3] for key in seen})}
 
 
 def format_winner_table(result: dict) -> str:

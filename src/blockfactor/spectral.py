@@ -22,6 +22,7 @@ near 2 MiB, or one restart's n x k x d values when that is larger.
 import contextlib
 import functools
 import threading
+import time
 import warnings
 from typing import NamedTuple, Optional
 
@@ -34,9 +35,9 @@ __all__ = [
     "EigenPairs",
     "sym_eigs_topk",
     "kmeans",
-    "graph_eigenvectors",
     "unit_rows",
     "VARIANTS",
+    "SharedStages",
     "spectral_clustering",
     "nmf_init_from_partition",
 ]
@@ -478,34 +479,65 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     return best_labels.astype(np.int64)
 
 
-def graph_eigenvectors(g: Graph, k: int, matrix: str = "laplacian") -> np.ndarray:
-    """The n x k top eigenvectors of one of the graph's Laplacians.
-
-    matrix: "laplacian" (L) or "regularized" (L_tau, tau the average
-    degree).  The CSR matrix is built and dropped inside the call.
-    """
-    if matrix == "laplacian":
-        m = normalized_laplacian(g)
-    elif matrix == "regularized":
-        m = regularized_laplacian(g)
-    else:
-        raise InvalidInputError(f"unknown graph matrix {matrix!r}")
-    return sym_eigs_topk(m, k).vectors
-
-
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Rows scaled to unit length; zero rows are left alone."""
     norms = np.linalg.norm(rows, axis=1)
     return rows / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-# Spectral-clustering method -> (graph matrix of ``graph_eigenvectors``,
+# Spectral-clustering method -> (eigenvectors of L_tau rather than L,
 # rows scaled to unit length before k-means).
 VARIANTS = {
-    "spectral": ("laplacian", False),
-    "reg-spectral": ("regularized", True),
-    "spectral-wp": ("regularized", False),
+    "spectral": (False, False),
+    "reg-spectral": (True, True),
+    "spectral-wp": (True, False),
 }
+
+
+class SharedStages:
+    """The spectral stages of the methods run on one graph, each done once.
+
+    A stage is the normalized Laplacian L, the top-k eigensolve of L or
+    L_tau, or the k-means partition of one embedding of it.  Each is kept
+    with the seconds it took.  L is the one matrix kept: its eigensolve
+    and both NMF targets use it, and as CSR it is O(m); L_tau is built
+    and dropped inside its eigensolve.  The builders, the eigensolver and
+    k-means are looked up in this module when a stage runs.
+    """
+
+    def __init__(self, g: Graph, k: int, seed):
+        self.g = g
+        self.k = k
+        self.seed = seed
+        self._done: dict[tuple, tuple[np.ndarray, float]] = {}
+
+    def _stage(self, key: tuple, compute) -> tuple[np.ndarray, float]:
+        if key not in self._done:
+            start = time.perf_counter()
+            value = compute()
+            self._done[key] = (value, time.perf_counter() - start)
+        return self._done[key]
+
+    def laplacian(self):
+        """L as a read-only CSR array, and the seconds it took to build."""
+        return self._stage(("L",), lambda: normalized_laplacian(self.g))
+
+    def partition(self, method: str) -> tuple[np.ndarray, float]:
+        """The k-means labels of spectral method ``method`` (a ``VARIANTS``
+        key), and the seconds every stage it used took."""
+        if method not in VARIANTS:
+            raise InvalidInputError(f"unknown spectral method {method!r}; choose from {tuple(VARIANTS)}")
+        regularized, unit = VARIANTS[method]
+        lap, build_s = (None, 0.0) if regularized else self.laplacian()
+        vectors, eigs_s = self._stage(
+            ("eigs", regularized),
+            lambda: sym_eigs_topk(regularized_laplacian(self.g) if regularized else lap, self.k).vectors,
+        )
+        labels, kmeans_s = self._stage(
+            ("kmeans", regularized, unit),
+            lambda: kmeans(unit_rows(vectors) if unit else vectors, self.k, seed=self.seed),
+        )
+        return labels, build_s + eigs_s + kmeans_s
 
 
 def spectral_clustering(g: Graph, k: int, method: str = "spectral", seed=0) -> np.ndarray:
@@ -516,12 +548,11 @@ def spectral_clustering(g: Graph, k: int, method: str = "spectral", seed=0) -> n
       * "reg-spectral": eigenvectors of L_tau, tau the average degree, rows
         projected to the unit circle (zero rows left alone) before k-means.
       * "spectral-wp": same without the row normalization.
+
+    It is ``SharedStages(g, k, seed).partition(method)``, the partition
+    the benchmark's methods share.
     """
-    if method not in VARIANTS:
-        raise InvalidInputError(f"unknown spectral method {method!r}; choose from {tuple(VARIANTS)}")
-    matrix, unit = VARIANTS[method]
-    rows = graph_eigenvectors(g, k, matrix)
-    return kmeans(unit_rows(rows) if unit else rows, k, seed=seed)
+    return SharedStages(g, k, seed).partition(method)[0]
 
 
 def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> np.ndarray:

@@ -28,6 +28,10 @@ MALFORMED_CSVS = {
                         f"line 3: cannot read nmi '{value}'")
         for kind, value in [("NaN", "nan"), ("infinite", "inf"), ("negative", "-0.1"), ("above 1", "1.5")]
     },
+    # a cell's method read twice would win it twice
+    "repeated row": (_HEADER + "\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,0.8,0.1,5,,,01"
+                     "\ne,avg_degree,10,a,0,0.7,0.1,5,,,01\n",
+                     "line 4: (experiment, sweep_value, seed, method) ('e', '10', '0', 'a') already read at "),
 }
 
 

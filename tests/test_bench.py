@@ -335,6 +335,15 @@ class TestWinners:
         table = format_winner_table(result)
         assert "e" in table and "cells" in table
 
+    def test_a_file_read_twice_is_refused(self, tmp_path):
+        # osntf would win 4 of 2 cells
+        path = tmp_path / "a.csv"
+        write_csv(run_simulation(tiny_spec(avg_degree=[8.0], replicates=2)), path)
+        winner_counts([path])
+        with pytest.raises(BlockfactorError) as exc:
+            winner_counts([path, path])
+        assert str(exc.value).startswith(f"{path}, line 2: ") and str(exc.value).endswith(f"already read at {path}, line 2")
+
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
@@ -374,7 +383,7 @@ class TestRunMethod:
         # the dense target and the partition's own dense matrices never coexist
         calls = []
         for module, name in (
-            (spectral, "regularized_laplacian"), (bench, "kmeans"), (bench, "normalized_laplacian"),
+            (spectral, "regularized_laplacian"), (spectral, "kmeans"), (spectral, "normalized_laplacian"),
         ):
             monkeypatch.setattr(module, name, recording(getattr(module, name), name, calls))
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
@@ -385,7 +394,7 @@ class TestRunMethod:
     @pytest.mark.parametrize("option", [dict(matrix="adjacency"), dict(init="spectral"), dict(tau=1.0)],
                              ids=lambda option: next(iter(option)))
     def test_deleted_options_are_refused(self, monkeypatch, runner, option):
-        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "regularized_laplacian", "normalized_laplacian")
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(TypeError, match=next(iter(option))):
             if runner == "run_method":
@@ -528,7 +537,7 @@ class TestRunMethods:
     @pytest.mark.parametrize("methods", SHARED_METHODS)
     def test_cache_holds_no_dense_n_by_n_array(self, methods):
         g = sbm_graph()
-        stages = bench._SharedStages(g, 3, seed=0)
+        stages = spectral.SharedStages(g, 3, seed=0)
         cfg = SolverConfig(max_iters=20)
         for method in methods:
             bench._run_one(stages, method, cfg)
@@ -543,12 +552,12 @@ class TestRunMethods:
 
     def test_wall_time_is_the_standalone_cost(self, monkeypatch):
         # every method below uses the L_tau eigensolve, whichever runs it
-        def slow_eigenvectors(*args, **kwargs):
+        def slow_regularized_laplacian(*args, **kwargs):
             time.sleep(0.05)
             return real(*args, **kwargs)
 
-        real = bench.graph_eigenvectors
-        monkeypatch.setattr(bench, "graph_eigenvectors", slow_eigenvectors)
+        real = spectral.regularized_laplacian
+        monkeypatch.setattr(spectral, "regularized_laplacian", slow_regularized_laplacian)
         g = sbm_graph()
         cfg = SolverConfig(max_iters=5)
         for methods in (["reg-spectral", "spectral-wp", "osntf"], ["osntf", "spectral-wp", "reg-spectral"]):
@@ -558,7 +567,7 @@ class TestRunMethods:
     @pytest.mark.parametrize("k", [0, 35, 40, 2.0, True, "2"])
     def test_k_outside_the_graph_fails_before_any_work(self, monkeypatch, k):
         g, _ = load_dataset("karate")
-        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "regularized_laplacian", "normalized_laplacian")
         with pytest.raises(InvalidInputError, match="k must"):
             run_methods(g, k, ["spectral", "osntf"], seed=0)
         with pytest.raises(InvalidInputError):
@@ -566,7 +575,7 @@ class TestRunMethods:
 
     def test_unknown_method_later_in_the_list_fails_before_any_work(self, monkeypatch):
         g, _ = load_dataset("karate")
-        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "graph_eigenvectors", "normalized_laplacian")
+        forbid(monkeypatch, "sym_eigs_topk", "kmeans", "regularized_laplacian", "normalized_laplacian")
         with pytest.raises(InvalidInputError, match="louvain"):
             run_methods(g, 2, ["spectral", "louvain"], seed=0)
 

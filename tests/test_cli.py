@@ -154,6 +154,17 @@ class TestWinnersCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and err.startswith(f"error: {path}") and message in err
 
+    def test_a_file_read_twice_is_one_error_line(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        main(["simulate", str(spec_file), "--out", str(out), "--quiet"])
+        capsys.readouterr()
+        assert main(["winners", str(out), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {out}, line 2: ")
+        assert err.strip().endswith(f"already read at {out}, line 2")
+
 
 class TestRealdataCommand:
     def test_karate_table_and_csv(self, tmp_path, capsys):
@@ -165,6 +176,13 @@ class TestRealdataCommand:
         assert code == 0
         assert "reg-spectral" in capsys.readouterr().out
         assert out.read_text().count("\n") == 2  # header + one method
+
+    def test_repeated_method_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "karate.csv"
+        assert main(["realdata", "karate", "--methods", "osntf,osntf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: methods must be a nonempty list without repeats, got ['osntf', 'osntf']"]
 
     def test_missing_fixture_exit_code(self, capsys):
         assert main(["realdata", "polblogs"]) == 2

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import blockfactor.spectral as spectral
+from blockfactor.bench import ExperimentSpec, realdata_table, run_methods
 from blockfactor.blockmodels import SbmParams, dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from blockfactor.errors import InvalidInputError, float_array, integer_array
 from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, snmf
@@ -23,6 +24,7 @@ CYCLE_WITH_NAN = sp.csr_array(np.roll(np.eye(200), 1, axis=1) + np.roll(np.eye(2
 CYCLE_WITH_NAN.data[0] = np.nan  # large enough for the ARPACK path
 SBM = SbmParams(z=[0, 0, 1, 1], b=[[0.5, 0.1], [0.1, 0.5]])
 NO_SUCH_DIR = Path(__file__).parent / "no such directory"  # open() would fail here
+SPEC = dict(experiment="e", model="sbm", n=60, k=2, snr=3.0, avg_degree=[10.0], sweep="avg_degree", replicates=1)
 NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 
 # each of these was silently truncated, or raised a bare numpy or scipy error
@@ -73,6 +75,15 @@ BAD_INPUT = {
     "two-dimensional labels to save": lambda: save_labels([[0, 1]], NO_SUCH_DIR / "labels.txt"),
     "fractional GML labels": lambda: save_gml(PATH, NO_SUCH_DIR / "g.gml", labels=0.9 * np.ones(3)),
     "two-dimensional GML labels": lambda: save_gml(PATH, NO_SUCH_DIR / "g.gml", labels=np.zeros((3, 1), int)),
+    # each of these wrote a CSV that counts one cell's winner more than once, or one with no rows
+    "no spec methods": lambda: ExperimentSpec(**SPEC, methods=[]),
+    "repeated spec method": lambda: ExperimentSpec(**SPEC, methods=["osntf", "osntf", "spectral"]),
+    "repeated swept value": lambda: ExperimentSpec(**{**SPEC, "avg_degree": [10.0, 10.0]}),
+    "numerically equal swept values": lambda: ExperimentSpec(**{**SPEC, "avg_degree": [10, 10.0]}),
+    "repeated swept n": lambda: ExperimentSpec(**{**SPEC, "n": [60, 80, 60], "avg_degree": 10.0, "sweep": "n"}),
+    "no methods to run": lambda: run_methods(PATH, 2, [], seed=0),
+    "repeated method to run": lambda: run_methods(PATH, 2, ["spectral", "spectral"], seed=0),
+    "repeated real-data method": lambda: realdata_table("karate", methods=["osntf", "osntf"]),
 }
 
 

@@ -16,8 +16,8 @@ import pytest
 
 import blockfactor.spectral as spectral
 from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
-from blockfactor.graphs import largest_connected_component
-from blockfactor.spectral import _lloyd, graph_eigenvectors, kmeans, unit_rows
+from blockfactor.graphs import largest_connected_component, normalized_laplacian, regularized_laplacian
+from blockfactor.spectral import _lloyd, kmeans, sym_eigs_topk, unit_rows
 
 
 # ---- frozen reference: one Lloyd run per restart --------------------------
@@ -119,8 +119,8 @@ def embeddings():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "clipped")  # the DCSBM preset's clipping note
         for g, k in sampled_components():
-            out.append(graph_eigenvectors(g, k, "laplacian"))
-            out.append(unit_rows(graph_eigenvectors(g, k, "regularized")))
+            out.append(sym_eigs_topk(normalized_laplacian(g), k).vectors)
+            out.append(unit_rows(sym_eigs_topk(regularized_laplacian(g), k).vectors))
     return out
 
 

@@ -10,7 +10,6 @@ from blockfactor.metrics import misclustered_count, misclustering_rate
 from blockfactor.spectral import (
     VARIANTS,
     _lloyd,
-    graph_eigenvectors,
     kmeans,
     nmf_init_from_partition,
     spectral_clustering,
@@ -158,10 +157,11 @@ class TestSpectralClustering:
             spectral_clustering(two_cliques(), 2, "bogus", seed=0)
 
     def test_variants_are_the_method_names(self):
+        # method -> (eigenvectors of L_tau rather than L, unit rows)
         assert VARIANTS == {
-            "spectral": ("laplacian", False),
-            "reg-spectral": ("regularized", True),
-            "spectral-wp": ("regularized", False),
+            "spectral": (False, False),
+            "reg-spectral": (True, True),
+            "spectral-wp": (True, False),
         }
 
     @pytest.mark.parametrize("old", ["plain", "regularized", "regularized_no_projection"])
@@ -197,10 +197,6 @@ class TestTypedErrors:
     def test_kmeans_overflowing_distances(self, points, k):
         with pytest.raises(InvalidInputError, match="overflow"):
             kmeans(np.array(points), k, seed=0)
-
-    def test_unknown_graph_matrix(self):
-        with pytest.raises(InvalidInputError, match="unknown graph matrix 'bogus'"):
-            graph_eigenvectors(two_cliques(), 2, "bogus")
 
     def test_kmeans_points_not_a_matrix(self):
         for points in (np.zeros(5), np.zeros((5, 0))):
