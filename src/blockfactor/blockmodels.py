@@ -5,16 +5,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    InfeasibleDegreeError,
-    InvalidInputError,
-    ZeroExpectedDegreeError,
-    float_array,
-    integer_array,
-    is_integer,
-    is_real,
-    seeded_rng,
-)
+from .errors import InvalidInputError, float_array, integer_array, is_integer, is_real, seeded_rng
 from .graphs import Graph
 
 __all__ = [
@@ -145,11 +136,11 @@ def population_laplacian(p: BlockModel) -> np.ndarray:
     with C, t and deg as in ``_block_degrees``.  This is the population
     adjacency normalized by the expected degrees t_i * deg_{z_i}, whatever
     theta sums to in each block.  The first node of zero expected degree
-    raises ZeroExpectedDegreeError.
+    raises InvalidInputError.
     """
     deg = _block_degrees(p)
     if (zero := np.flatnonzero(deg[p.z] <= 0)).size:
-        raise ZeroExpectedDegreeError(int(zero[0]))
+        raise InvalidInputError(f"node {int(zero[0])} has zero expected degree")
     inv, root_t = 1.0 / np.sqrt(deg), np.sqrt(p.weights)
     block = inv[:, None] * p.rates * inv[None, :]
     return block[p.z[:, None], p.z[None, :]] * (root_t[:, None] * root_t[None, :])
@@ -316,7 +307,7 @@ def sbm_snr_preset(n: int, k: int, snr: float, target_avg_degree: float) -> SbmP
     mass = float(sizes @ pattern @ sizes)
     p_off = target_avg_degree * n / mass
     if p_off * snr > 1.0:
-        raise InfeasibleDegreeError(
+        raise InvalidInputError(
             f"within-block probability {p_off * snr!r} exceeds 1 for "
             f"n={n}, k={k}, snr={snr}, target degree {target_avg_degree}"
         )
@@ -349,7 +340,7 @@ def dcsbm_powerlaw_preset(
     if not (is_real(beta) and beta > 2):
         raise InvalidInputError(f"beta must be a number above 2 for a finite-mean power law, got {beta!r}")
     if target_avg_degree >= n:
-        raise InfeasibleDegreeError(
+        raise InvalidInputError(
             f"target degree {target_avg_degree} unreachable with {n} nodes"
         )
     rng = seeded_rng(seed)

@@ -12,7 +12,7 @@ import numpy as np
 from . import bench
 from .datasets import DATASETS
 from .errors import BlockfactorError
-from .io import load_graph, save_labels
+from .io import format_labels, load_graph, save_labels
 from .metrics import NMI_VARIANTS, misclustered_count, nmi
 
 
@@ -61,8 +61,7 @@ def _cmd_factorize(args) -> int:
     if args.out:
         save_labels(out.labels, args.out, names=g.node_names)
     else:
-        for i, lab in enumerate(out.labels):
-            print(int(lab) if g.node_names is None else f"{g.node_names[i]}\t{int(lab)}")
+        sys.stdout.write(format_labels(out.labels, names=g.node_names))
     print(f"# method={args.method} n={g.n} k={args.k}", file=sys.stderr)
     if out.iterations:
         print(

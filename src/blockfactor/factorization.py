@@ -22,15 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AllZeroRowError,
-    DimensionMismatchError,
-    InvalidInputError,
-    NonFiniteUpdateError,
-    float_array,
-    is_integer,
-    is_real,
-)
+from .errors import InvalidInputError, NonFiniteUpdateError, float_array, is_integer, is_real
 from .graphs import as_matrix, is_symmetric
 
 __all__ = [
@@ -108,15 +100,17 @@ def _sq_norm(x) -> float:
 
 
 def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
-    """Shape, finiteness, symmetry and sign checks; ``x`` is dense or CSR
-    (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
+    """Shape, finiteness, symmetry and sign checks, all before any sweep;
+    ``x`` is dense or CSR (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(f"x must be square, got shape {x.shape}")
+        raise InvalidInputError(f"x must be square, got shape {x.shape}")
     n = x.shape[0]
+    if not (is_integer(k) and 1 <= k <= n):
+        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
     if h0.shape != (n, k):
-        raise DimensionMismatchError(
-            f"h0 must have shape ({n}, {k}), got {h0.shape}"
-        )
+        raise InvalidInputError(f"h0 must have shape ({n}, {k}), got {h0.shape}")
+    if not np.isfinite(h0).all():
+        raise InvalidInputError("h0 must be finite (it has NaN or infinite entries)")
     entries = _entries(x)
     # Only a NaN or infinite entry, or an overflowing norm, makes x_sq
     # non-finite.  Tested before symmetry, which NaN would fail; finite x
@@ -275,13 +269,13 @@ def assign_communities(h: np.ndarray) -> np.ndarray:
     """Each row goes to its largest entry; ties break to the smaller column."""
     h = float_array(h, "h")
     if h.ndim != 2 or h.shape[1] < 1:
-        raise DimensionMismatchError("h must be an N x K matrix with K >= 1")
+        raise InvalidInputError("h must be an N x K matrix with K >= 1")
     if (bad := np.flatnonzero(~np.isfinite(h).all(axis=1))).size:
         raise InvalidInputError(f"row {int(bad[0])} of h is not finite")
     row_max = h.max(axis=1)
     dead = np.flatnonzero(row_max <= 0)
     if dead.size:
-        raise AllZeroRowError(int(dead[0]))
+        raise InvalidInputError(f"row {int(dead[0])} of H has no positive entry (degenerate factorization)")
     return h.argmax(axis=1).astype(np.int64)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphParseError, InvalidInputError, IsolatedNodeError, float_array, integer_array, is_integer
+from .errors import GraphParseError, InvalidInputError, float_array, integer_array, is_integer
 
 __all__ = [
     "Graph",
@@ -194,13 +194,16 @@ def degrees(g: Graph) -> np.ndarray:
 def normalized_laplacian(g: Graph):
     """L = D^{-1/2} A D^{-1/2} as a read-only CSR array, exactly symmetric.
 
-    Raises IsolatedNodeError if any node has degree 0; callers should
+    Raises InvalidInputError if any node has degree 0; callers should
     restrict to the largest connected component first.
     """
     d = degrees(g)
     zero = np.flatnonzero(d == 0)
     if zero.size:
-        raise IsolatedNodeError(int(zero[0]))
+        raise InvalidInputError(
+            f"node {int(zero[0])} is isolated (degree 0); restrict to the largest "
+            "connected component before building the normalized Laplacian"
+        )
     return _scaled_adjacency(g, 1.0 / np.sqrt(d.astype(np.float64)))
 
 
@@ -240,7 +243,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     smallest original node index.
     """
     if g.n == 0:
-        raise EmptyGraphError("cannot take the largest component of an empty graph")
+        raise InvalidInputError("cannot take the largest component of an empty graph")
     labels = _component_labels(g)
     sizes = np.bincount(labels)
     best = labels[np.argmax(sizes[labels] == sizes.max())]  # the first node in a largest one

@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DanglingEdgeError, GraphParseError, InvalidInputError, integer_array, is_integer
+from .errors import GraphParseError, InvalidInputError, integer_array, is_integer
 from .graphs import MAX_NODES, Graph, symmetrize_directed
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "load_gml",
     "save_gml",
     "load_labels",
+    "format_labels",
     "save_labels",
 ]
 
@@ -210,9 +211,9 @@ def parse_gml_items(text: str) -> tuple[list[dict], list[tuple[int, int]], bool]
     pairs = []
     for src, tgt, lineno in raw_edges:
         if src not in id_to_index:
-            raise DanglingEdgeError(f"edge references undeclared node id {src}", line=lineno)
+            raise GraphParseError(f"edge references undeclared node id {src}", line=lineno)
         if tgt not in id_to_index:
-            raise DanglingEdgeError(f"edge references undeclared node id {tgt}", line=lineno)
+            raise GraphParseError(f"edge references undeclared node id {tgt}", line=lineno)
         pairs.append((id_to_index[src], id_to_index[tgt]))
     return nodes, pairs, directed
 
@@ -280,12 +281,13 @@ def load_labels(path: PathLike) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
-    """One label per line; `name<TAB>label` when node names are given.
+def format_labels(labels: np.ndarray, names=None) -> str:
+    """The text of a label file: one label per line, `name<TAB>label` when
+    node names are given.
 
     Labels that are not a 1-D integer vector, ``names`` not one per label,
     or a name ``load_labels`` could not read back (holding `#`, a tab, a
-    line break or a lone surrogate) raise InvalidInputError before ``open``.
+    line break or a lone surrogate) raise InvalidInputError.
     """
     labels = integer_array(labels, "labels")
     if labels.ndim != 1:
@@ -295,9 +297,15 @@ def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
     for name in names if names is not None else ():
         if re.search("[#\t\n\r\ud800-\udfff]", name):
             raise InvalidInputError(f"a label file name cannot hold #, tab, newline or a lone surrogate: {name!r}")
+    return "".join(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n" for i, lab in enumerate(labels))
+
+
+def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:
+    """Write ``format_labels(labels, names)`` to ``path``; the labels are
+    checked before ``open``."""
+    text = format_labels(labels, names)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(labels):
-            fh.write(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n")
+        fh.write(text)
 
 
 def load_graph(path: PathLike) -> tuple[Graph, Optional[np.ndarray]]:

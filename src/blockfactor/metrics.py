@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidInputError, LengthMismatchError, TooManyLabelsError, integer_array
+from .errors import InvalidInputError, integer_array
 
 __all__ = [
     "NMI_VARIANTS",
@@ -34,7 +34,7 @@ def confusion_table(a, b) -> np.ndarray:
     """
     a, b = _as_labels(a), _as_labels(b)
     if a.shape != b.shape:
-        raise LengthMismatchError(f"partition lengths differ: {a.size} vs {b.size}")
+        raise InvalidInputError(f"partition lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
         raise InvalidInputError("partitions must be nonempty")
     na, nb = int(a.max()) + 1, int(b.max()) + 1
@@ -87,7 +87,10 @@ def misclustering_rate(truth, cand) -> tuple[float, tuple[int, ...]]:
     n = counts.sum()
     k = max(counts.shape)
     if k > MAX_EXACT_LABELS:
-        raise TooManyLabelsError(k)
+        raise InvalidInputError(
+            f"{k} labels exceed the exact permutation-search bound of {MAX_EXACT_LABELS}; "
+            "an assignment-solver extension is required for larger K"
+        )
     padded = np.zeros((k, k), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
     best_agree = -1

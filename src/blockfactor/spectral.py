@@ -558,12 +558,16 @@ def spectral_clustering(g: Graph, k: int, method: str = "spectral", seed=0) -> n
 def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> np.ndarray:
     """Indicator matrix of a partition plus a constant offset, unit-norm columns.
 
-    A positive offset keeps every entry strictly positive, which the
-    multiplicative-update solvers require to avoid zero-locking.
+    The offset must be finite and positive: it keeps every entry strictly
+    positive, which the multiplicative-update solvers require to avoid
+    zero-locking.
     """
     labels = integer_array(labels, "labels")
-    if not (is_integer(k) and is_real(offset) and labels.ndim == 1 and labels.size and 0 <= labels.min() and labels.max() < k):
-        raise InvalidInputError(f"need nonempty 1-D labels in [0, k), integer k, real offset: {labels.shape}, {k!r}, {offset!r}")
+    if not (is_integer(k) and is_real(offset) and 0 < offset < np.inf and labels.ndim == 1 and labels.size
+            and 0 <= labels.min() and labels.max() < k):
+        raise InvalidInputError(
+            f"need nonempty 1-D labels in [0, k), integer k, finite positive offset: {labels.shape}, {k!r}, {offset!r}"
+        )
     h = np.full((labels.shape[0], k), float(offset))
     h[np.arange(labels.shape[0]), labels] += 1.0
     norms = np.linalg.norm(h, axis=0)

@@ -75,6 +75,19 @@ class TestFactorize:
         assert code == 0
         assert out_path.read_text() == "ann\t0\nbob\t0\ncal\t0\n"
 
+    def test_stdout_refuses_a_name_the_labels_file_refuses(self, tmp_path, capsys):
+        # "a#1" would print a line that load_labels reads as the label "a"
+        gml = tmp_path / "named.gml"
+        gml.write_text(
+            'graph [ node [ id 0 label "a#1" ] node [ id 1 label "b" ] node [ id 2 label "c" ] '
+            'node [ id 3 label "d" ] edge [ source 0 target 1 ] edge [ source 1 target 2 ] '
+            "edge [ source 2 target 3 ] edge [ source 3 target 0 ] ]"
+        )
+        assert main(["factorize", str(gml), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: a label file name cannot hold #, tab, newline or a lone surrogate: 'a#1'"]
+
     @pytest.mark.parametrize("method", METHODS)
     def test_karate_labels_are_run_methods(self, method, capsys):
         # factorize runs the one pipeline each method has, with no option to change it

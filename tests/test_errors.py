@@ -12,7 +12,7 @@ import blockfactor.spectral as spectral
 from blockfactor.bench import ExperimentSpec, realdata_table, run_methods
 from blockfactor.blockmodels import SbmParams, dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
 from blockfactor.errors import InvalidInputError, float_array, integer_array
-from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, snmf
+from blockfactor.factorization import Factorization, assign_communities, exactness_diagnostics, frobenius_residual, osntf, snmf
 from blockfactor.graphs import Graph, induced_subgraph, symmetrize_directed
 from blockfactor.io import save_gml, save_labels
 from blockfactor.metrics import misclustering_rate, nmi
@@ -25,6 +25,10 @@ CYCLE_WITH_NAN.data[0] = np.nan  # large enough for the ARPACK path
 SBM = SbmParams(z=[0, 0, 1, 1], b=[[0.5, 0.1], [0.1, 0.5]])
 NO_SUCH_DIR = Path(__file__).parent / "no such directory"  # open() would fail here
 SPEC = dict(experiment="e", model="sbm", n=60, k=2, snr=3.0, avg_degree=[10.0], sweep="avg_degree", replicates=1)
+NAN_START = np.ones((4, 2))
+NAN_START[1, 0] = np.nan
+INFINITE_START = np.ones((4, 2))
+INFINITE_START[2, 1] = np.inf
 NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 
 # each of these was silently truncated, or raised a bare numpy or scipy error
@@ -84,6 +88,20 @@ BAD_INPUT = {
     "no methods to run": lambda: run_methods(PATH, 2, [], seed=0),
     "repeated method to run": lambda: run_methods(PATH, 2, ["spectral", "spectral"], seed=0),
     "repeated real-data method": lambda: realdata_table("karate", methods=["osntf", "osntf"]),
+    # each of these ran a solve, raised a bare numpy ValueError or TypeError, blamed an
+    # update for a bad start, or returned an all-NaN start
+    "zero SNMF k": lambda: snmf(np.eye(4), 0, np.ones((4, 0))),
+    "zero OSNTF k": lambda: osntf(np.eye(4), 0, np.ones((4, 0))),
+    "float SNMF k": lambda: snmf(np.eye(4), 2.0, np.ones((4, 2))),
+    "float OSNTF k": lambda: osntf(np.eye(4), 2.0, np.ones((4, 2))),
+    "bool SNMF k": lambda: snmf(np.eye(4), True, np.ones((4, 1))),
+    "bool OSNTF k": lambda: osntf(np.eye(4), True, np.ones((4, 1))),
+    "NaN SNMF start": lambda: snmf(np.eye(4), 2, NAN_START),
+    "NaN OSNTF start": lambda: osntf(np.eye(4), 2, NAN_START),
+    "infinite SNMF start": lambda: snmf(np.eye(4), 2, INFINITE_START),
+    "infinite OSNTF start": lambda: osntf(np.eye(4), 2, INFINITE_START),
+    "NaN seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset=float("nan")),
+    "infinite seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset=float("inf")),
 }
 
 

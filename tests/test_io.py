@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockfactor.errors import DanglingEdgeError, GraphParseError, InvalidInputError
+from blockfactor.errors import GraphParseError, InvalidInputError
 from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import (
     load_edgelist,
@@ -113,7 +113,7 @@ class TestGml:
             parse_gml("graph [ node [ id 0 ] node [ id 0 ] ]")
 
     def test_dangling_edge(self):
-        with pytest.raises(DanglingEdgeError):
+        with pytest.raises(GraphParseError, match="line 1: edge references undeclared node id 9"):
             parse_gml("graph [ node [ id 0 ] edge [ source 0 target 9 ] ]")
 
     def test_directed_flag_and_duplicates_collapse(self):

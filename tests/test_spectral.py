@@ -140,10 +140,8 @@ class TestSpectralClustering:
         assert misclustered_count(truth, labels) == 0
 
     def test_plain_requires_no_isolated_nodes(self):
-        from blockfactor.errors import IsolatedNodeError
-
         g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(IsolatedNodeError):
+        with pytest.raises(InvalidInputError, match="node 2 is isolated"):
             spectral_clustering(g, 2, "spectral", seed=0)
 
     def test_regularized_tolerates_isolated_nodes(self):
@@ -242,9 +240,10 @@ class TestNmfInit:
         np.testing.assert_allclose(np.linalg.norm(h, axis=0), np.ones(4), atol=1e-12)
         assert h.min() > 0
 
-    def test_zero_offset_contains_zeros(self):
-        h = nmf_init_from_partition(np.array([0, 1]), 2, offset=0.0)
-        assert h.min() == 0.0  # solvers reject this start (zero-locking)
+    def test_zero_offset_is_refused(self):
+        # it would give a start with zeros, which the solvers refuse (zero-locking)
+        with pytest.raises(InvalidInputError, match="finite positive offset"):
+            nmf_init_from_partition(np.array([0, 1]), 2, offset=0.0)
 
     def test_labels_out_of_range(self):
         with pytest.raises(ValueError):
