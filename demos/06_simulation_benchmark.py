@@ -1,20 +1,12 @@
 #!/usr/bin/env python3
-"""Run a scaled-down benchmark sweep end to end: spec -> CSV -> summary ->
-winner counts.  The full-size specs live in configs/."""
+"""Run a scaled-down benchmark sweep end to end: spec -> CSV -> spot check
+-> results report.  The full-size specs live in configs/."""
 
 import tempfile
 import warnings
 from pathlib import Path
 
-from blockfactor.bench import (
-    ExperimentSpec,
-    format_winner_table,
-    run_simulation,
-    summarize,
-    verify_csv_rows,
-    winner_counts,
-    write_csv,
-)
+from blockfactor.bench import ExperimentSpec, report, run_simulation, verify_csv_rows, write_csv
 
 warnings.filterwarnings("ignore", message="clipped")
 
@@ -32,13 +24,15 @@ spec = ExperimentSpec(
 )
 
 rows = run_simulation(spec)
-print(summarize(rows))
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "demo.csv"
     write_csv(rows, out)
-    print(f"\nwrote {out} ({out.stat().st_size} bytes)")
+    print(f"wrote {out} ({out.stat().st_size} bytes)")
     print("spot check:", verify_csv_rows(spec, out, fraction=0.1), "rows re-verified")
 
-    print("\nbest-method counts per (sweep value, replicate) cell:")
-    print(format_winner_table(winner_counts([out])))
+    # per (sweep value, method): NMI mean ± sd, mean misclustering rate,
+    # best-NMI wins per (sweep value, replicate) cell, and the NMF methods'
+    # paired NMI gain over the reg-spectral partition they start from
+    print()
+    print(report([out]), end="")

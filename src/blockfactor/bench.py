@@ -1,4 +1,4 @@
-"""Benchmark harness: method runner, simulation sweeps, CSV output, winners.
+"""Benchmark harness: method runner, simulation sweeps, CSV output, results report.
 
 Everything is deterministic given the experiment base seed.  Replicate r
 derives its seed as base_seed + r; sub-streams (degree weights, graph
@@ -41,11 +41,9 @@ __all__ = [
     "run_simulation",
     "write_csv",
     "read_csv",
-    "summarize",
     "verify_csv_rows",
     "realdata_table",
-    "winner_counts",
-    "format_winner_table",
+    "report",
 ]
 
 # the NMF methods, then the spectral ones; METHODS[:4] is the default list
@@ -201,7 +199,7 @@ class ExperimentSpec:
                 continue  # sbm specs leave it out
             for v in value if name == self.sweep else [value]:
                 if not kind(v):
-                    noun = "an integer" if kind is is_integer else "a number"
+                    noun = "an integer" if kind is is_integer else "a finite number"
                     raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
         if len(set(values)) < len(values):  # [10, 10.0] would sample one graph twice
             raise InvalidInputError(f"swept field {self.sweep!r} repeats a value: {values!r}")
@@ -239,8 +237,9 @@ class ExperimentSpec:
 class ResultRow:
     """One (sweep value, method, replicate) outcome.
 
-    wall_time_s is reported in summaries but never serialized to CSV,
-    which must be byte-identical across reruns of the same spec.
+    wall_time_s is the method's charged time (``MethodOutput``); it is
+    never serialized to CSV, which must be byte-identical across reruns
+    of the same spec.
     """
 
     experiment: str
@@ -302,8 +301,10 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
     Cells run in a process pool when workers > 1; results merge in
     (sweep, method, replicate) order regardless of completion order.
     ``progress(done, total)``, when given, is called as each cell's rows
-    arrive, in cell order.
+    arrive, in cell order.  ``workers`` must be a positive integer.
     """
+    if not (is_integer(workers) and workers >= 1):
+        raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
     cells = [(spec, sv, rep) for sv in spec.sweep_values for rep in range(spec.replicates)]
     chunks = []
     if workers > 1:  # imported only here: the pool module takes about 15 ms to load
@@ -406,26 +407,6 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     return checked
 
 
-def summarize(rows: Sequence[ResultRow]) -> str:
-    """Aligned mean-NMI (and mean wall time) table, one line per sweep/method."""
-    groups: dict[tuple, list[ResultRow]] = {}  # in first-seen order
-    for r in rows:
-        groups.setdefault((r.sweep_value, r.method), []).append(r)
-    lines = [
-        f"{'sweep_value':>12s}  {'method':<14s} {'mean_nmi':>9s} {'mean_rate':>10s} "
-        f"{'reps':>5s} {'mean_time_s':>12s}"
-    ]
-    for key, grp in groups.items():
-        mean_nmi = float(np.mean([g.nmi for g in grp]))
-        mean_rate = float(np.mean([g.misclustering_rate for g in grp]))
-        mean_t = float(np.mean([g.wall_time_s for g in grp]))
-        lines.append(
-            f"{str(key[0]):>12s}  {key[1]:<14s} {mean_nmi:9.4f} {mean_rate:10.4f} "
-            f"{len(grp):5d} {mean_t:12.4f}"
-        )
-    return "\n".join(lines)
-
-
 def realdata_table(
     dataset: str,
     methods: Sequence[str] = METHODS[:4],
@@ -460,41 +441,60 @@ def format_realdata_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def winner_counts(csv_paths: Sequence) -> dict:
-    """Count, per experiment and method, how often the method attains the
-    best NMI in a (sweep value, replicate) cell; ties award every method.
-    An nmi outside [0, 1], NaN included, or a row whose (experiment,
-    sweep_value, seed, method) an earlier row of any of the files already
-    had, raises BlockfactorError."""
-    cells: dict[tuple, list[tuple[str, float]]] = {}
+def _mean_sd(values: list, spec: str) -> str:
+    """The mean, then " ± " and the sample sd when there are two or more values."""
+    text = format(float(np.mean(values)), spec)
+    return text if len(values) < 2 else f"{text} ± {float(np.std(values, ddof=1)):.4f}"
+
+
+def report(csv_paths: Sequence) -> str:
+    """Markdown results of simulate CSVs: one table per experiment, in
+    first-seen order, with one row per (sweep value, method).
+
+    A row gives the replicate count, the NMI mean ± sample sd, the mean
+    misclustering rate, and the wins: the (sweep value, seed) cells where
+    the method has the best NMI, ties awarding every tied method.  For
+    snmf and osntf it also gives the mean ± sd of NMI(method) -
+    NMI(reg-spectral) over the cells that hold both.  Under each table,
+    one line gives each method's total wins out of the experiment's cells.
+
+    An nmi or misclustering_rate outside [0, 1], NaN included, or a row
+    whose (experiment, sweep_value, seed, method) an earlier row of any of
+    the files already had, raises BlockfactorError naming file and line.
+    """
+    experiments: dict[str, tuple] = {}  # experiment -> (sweep, {(sweep_value, method): {seed: (nmi, rate)}})
     seen: dict[tuple, str] = {}  # (experiment, sweep_value, seed, method) -> where
     for path in csv_paths:
         for where, rec in _located_rows(path):
-            value = _field(rec, "nmi", _unit_interval, where)
+            scores = tuple(_field(rec, name, _unit_interval, where) for name in ("nmi", "misclustering_rate"))
             key = tuple(rec[name] for name in ("experiment", "sweep_value", "seed", "method"))
             if key in seen:
                 raise BlockfactorError(f"{where}: (experiment, sweep_value, seed, method) {key} already read at {seen[key]}")
             seen[key] = where
-            cells.setdefault(key[:3], []).append((key[3], value))
-    counts: dict[tuple[str, str], int] = {}
-    totals: dict[str, int] = {}
-    for (exp, _, _), entries in cells.items():
-        best = max(v for _, v in entries)
-        totals[exp] = totals.get(exp, 0) + 1
-        for method, value in entries:
-            if value == best:
-                counts[(exp, method)] = counts.get((exp, method), 0) + 1
-    return {"counts": counts, "cells": totals, "methods": sorted({key[3] for key in seen})}
-
-
-def format_winner_table(result: dict) -> str:
-    counts, totals = result["counts"], result["cells"]
-    methods = result.get("methods") or sorted({m for _, m in counts})
-    header = f"{'experiment':<20s}" + "".join(f"{m:>14s}" for m in methods) + f"{'cells':>8s}"
-    lines = [header]
-    for exp in sorted(totals):
-        row = f"{exp:<20s}" + "".join(
-            f"{counts.get((exp, m), 0):>14d}" for m in methods
-        )
-        lines.append(row + f"{totals[exp]:>8d}")
-    return "\n".join(lines)
+            _, groups = experiments.setdefault(key[0], (rec["sweep"], {}))
+            groups.setdefault((key[1], key[3]), {})[key[2]] = scores
+    blocks = []
+    for experiment, (sweep, groups) in experiments.items():
+        best: dict[tuple, float] = {}  # (sweep_value, seed) -> the cell's best nmi
+        for (sweep_value, _), runs in groups.items():
+            for seed, (value, _) in runs.items():
+                best[sweep_value, seed] = max(value, best.get((sweep_value, seed), 0.0))
+        lines = [
+            f"### {experiment}",
+            "",
+            f"| {sweep} | method | reps | NMI mean ± sd | misclustering rate | wins | NMI gain over reg-spectral |",
+            "|---:|---|---:|---:|---:|---:|---:|",
+        ]
+        wins: dict[str, int] = {}
+        for (sweep_value, method), runs in groups.items():
+            won = sum(value == best[sweep_value, seed] for seed, (value, _) in runs.items())
+            wins[method] = wins.get(method, 0) + won
+            seeded = groups.get((sweep_value, "reg-spectral"), {}) if method in ("snmf", "osntf") else {}
+            gains = [value - seeded[seed][0] for seed, (value, _) in runs.items() if seed in seeded]
+            lines.append(
+                f"| {sweep_value} | {method} | {len(runs)} | {_mean_sd([v for v, _ in runs.values()], '.4f')} "
+                f"| {np.mean([r for _, r in runs.values()]):.4f} | {won} | {_mean_sd(gains, '+.4f') if gains else ''} |"
+            )
+        lines += ["", f"Wins out of {len(best)} cells: " + ", ".join(f"{m} {w}" for m, w in wins.items()) + "."]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

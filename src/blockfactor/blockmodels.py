@@ -288,8 +288,12 @@ def sample_graph(p: BlockModel, seed) -> Graph:
 def _planted_partition(n, k, snr, target_avg_degree) -> tuple[np.ndarray, np.ndarray]:
     """After the presets' shared checks, balanced labels z (larger blocks
     first) and the K x K SNR pattern: 1 off the diagonal, snr on it."""
-    if not (is_integer(n) and is_integer(k) and 1 <= k <= n and is_real(snr) and snr >= 1 and is_real(target_avg_degree)):
-        raise InvalidInputError(f"need integers 1 <= k <= n, numbers snr >= 1 and degree, not {(n, k, snr, target_avg_degree)!r}")
+    if not (is_integer(n) and is_integer(k) and 1 <= k <= n):
+        raise InvalidInputError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
+    if not (is_real(snr) and snr >= 1):
+        raise InvalidInputError(f"snr must be a finite number >= 1, got {snr!r}")
+    if not is_real(target_avg_degree):
+        raise InvalidInputError(f"target_avg_degree must be a finite number, got {target_avg_degree!r}")
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     return np.repeat(np.arange(k), sizes), np.ones((k, k)) + (snr - 1.0) * np.eye(k)
@@ -338,7 +342,7 @@ def dcsbm_powerlaw_preset(
     """
     z, pattern = _planted_partition(n, k, snr, target_avg_degree)
     if not (is_real(beta) and beta > 2):
-        raise InvalidInputError(f"beta must be a number above 2 for a finite-mean power law, got {beta!r}")
+        raise InvalidInputError(f"beta must be a finite number above 2 for a finite-mean power law, got {beta!r}")
     if target_avg_degree >= n:
         raise InvalidInputError(
             f"target degree {target_avg_degree} unreachable with {n} nodes"

@@ -1,6 +1,6 @@
 """Command-line benchmark harness.
 
-Subcommands: factorize, simulate, realdata, winners.  See README for the
+Subcommands: factorize, simulate, realdata, report.  See README for the
 experiment-spec JSON schema and output formats.
 """
 
@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--out", default=None, help="also write the table as CSV")
     p_real.add_argument("--seed", type=int, default=0)
 
-    p_win = sub.add_parser("winners", help="best-method counts from simulate CSVs")
-    p_win.add_argument("csvs", nargs="+", help="CSV files produced by simulate")
+    p_rep = sub.add_parser("report", help="Markdown results tables of simulate CSVs")
+    p_rep.add_argument("csvs", nargs="+", help="CSV files produced by simulate")
     return parser
 
 
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
     if not args.quiet:
         print(file=sys.stderr)
     bench.write_csv(rows, args.out)
-    print(bench.summarize(rows))
+    sys.stdout.write(bench.report([args.out]))
     if args.spot_check:
         checked = bench.verify_csv_rows(spec, args.out)
         print(f"spot-check: re-verified {checked} rows from persisted labels")
@@ -117,14 +117,13 @@ def _cmd_realdata(args) -> int:
     return 0
 
 
-def _cmd_winners(args) -> int:
-    result = bench.winner_counts(args.csvs)
-    print(bench.format_winner_table(result))
+def _cmd_report(args) -> int:
+    sys.stdout.write(bench.report(args.csvs))
     return 0
 
 
 _COMMANDS = {"factorize": _cmd_factorize, "simulate": _cmd_simulate,
-             "realdata": _cmd_realdata, "winners": _cmd_winners}
+             "realdata": _cmd_realdata, "report": _cmd_report}
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,6 @@
 """Exception hierarchy and input-type checks shared by all blockfactor modules."""
 
+import math
 import numbers
 
 import numpy as np
@@ -11,8 +12,9 @@ def is_integer(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a Python or numpy real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a Python or numpy real number; a bool is not
+    one, and neither is NaN or an infinity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 def integer_array(values, name: str) -> np.ndarray:

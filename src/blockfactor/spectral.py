@@ -68,8 +68,8 @@ _DENSE_EIGH_BELOW = 150
 
 # A block of b k-means restarts has b * n * k * d at most this many values
 # (2 MiB of float64), or b = 1 where one restart alone has more, as at
-# n = 10^5, k = d = 3.  Its distance terms are (b, k, n) arrays, at most
-# min(d, 8) + 1 of them alive at once.
+# n = 10^5, k = d = 3.  Its distances are summed over two (b, k, n) arrays
+# below 8 coordinates, and over one (b, k, n, d) array from 8 on.
 _LLOYD_BLOCK_VALUES = 1 << 18
 _RESTARTS = 20  # k-means++ starts (Arthur & Vassilvitskii, SODA 2007) per k-means
 _MAX_ITER = 100  # Lloyd steps at most per start
@@ -274,42 +274,6 @@ def _lobpcg_topk(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
-    """term(lo) + ... + term(hi - 1), in the order numpy's pairwise
-    summation adds a contiguous float64 axis of hi - lo values: one by one
-    below 8 terms, as 8 interleaved partial sums up to 128, halved above.
-
-    So the sum of the columns of a non-negative (..., m) array equals its
-    ``.sum(axis=-1)`` bit for bit, for every m, while each addition here
-    runs over whole columns.  ``term`` returns a new array per call.
-    """
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        acc = _pairwise_sum(term, lo, lo + half)
-        acc += _pairwise_sum(term, lo + half, hi)
-        return acc
-    if n < 8:
-        acc = term(lo)
-        for j in range(lo + 1, hi):
-            acc += term(j)
-        return acc
-    part = [term(lo + j) for j in range(8)]
-    tail = hi - n % 8
-    for i in range(lo + 8, tail, 8):
-        for j in range(8):
-            part[j] += term(i + j)
-    # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
-    for j in (0, 2, 4, 6):
-        part[j] += part[j + 1]
-    part[0] += part[2]
-    part[4] += part[6]
-    part[0] += part[4]
-    for j in range(tail, hi):
-        part[0] += term(j)
-    return part[0]
-
-
 def _choice(rng, p: np.ndarray) -> int:
     """``rng.choice(p.size, p=p)`` by the same inverse-CDF draw, so the
     same index and generator state after, without choice's O(n) checks
@@ -346,13 +310,24 @@ def _nearest(cols: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
 
     A distance sums its d squared coordinate differences in the order
     ``((points[:, None] - c[None]) ** 2).sum(axis=2)`` does for one
-    restart's c, but over whole (r, k, n) arrays, not d-long rows.
+    restart's c.  numpy adds fewer than 8 values one by one, which runs
+    here over whole (r, k, n) arrays; from 8 on it sums pairwise, so the
+    differences go to one (r, k, n, d) array that the same ``.sum`` reduces.
     """
-    def sq_diff(j):
+    def sq_diff(j):  # each term is freed once added, so its block is reused for the next
         diff = cols[j] - centroids[:, :, j, None]
         return np.square(diff, out=diff)
 
-    d2 = _pairwise_sum(sq_diff, 0, cols.shape[0])
+    if cols.shape[0] < 8:
+        d2 = sq_diff(0)
+        for j in range(1, cols.shape[0]):
+            d2 += sq_diff(j)
+    else:
+        # C order, so each point's d differences are contiguous, as in the
+        # reference's (n, k, d) array, and .sum reduces them pairwise
+        diff = np.empty((*centroids.shape[:2], *cols.T.shape))
+        np.subtract(cols.T, centroids[:, :, None, :], out=diff)
+        d2 = np.square(diff, out=diff).sum(axis=-1)
     labels = np.zeros(d2[:, 0].shape, dtype=np.intp)
     own = d2[:, 0].copy()
     for c in range(1, centroids.shape[1]):
@@ -446,7 +421,7 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     b * n * k * d within ``_LLOYD_BLOCK_VALUES``, and at least one.  The
     first restart with the smallest within-cluster sum of squares wins.
     Every distance, cluster sum and objective is added in the order that
-    one-restart loop adds it (see ``_pairwise_sum`` and ``_cluster_sums``),
+    one-restart loop adds it (see ``_nearest`` and ``_cluster_sums``),
     so the labels and each restart's sum of squares are bit for bit that
     loop's.
 
@@ -563,7 +538,7 @@ def nmf_init_from_partition(labels: np.ndarray, k: int, offset: float = 0.2) -> 
     zero-locking.
     """
     labels = integer_array(labels, "labels")
-    if not (is_integer(k) and is_real(offset) and 0 < offset < np.inf and labels.ndim == 1 and labels.size
+    if not (is_integer(k) and is_real(offset) and 0 < offset and labels.ndim == 1 and labels.size
             and 0 <= labels.min() and labels.max() < k):
         raise InvalidInputError(
             f"need nonempty 1-D labels in [0, k), integer k, finite positive offset: {labels.shape}, {k!r}, {offset!r}"

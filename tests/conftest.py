@@ -14,7 +14,7 @@ from blockfactor.graphs import Graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# simulate CSVs that winner_counts cannot read, each with the text its
+# simulate CSVs that bench.report cannot read, each with the text its
 # BlockfactorError must hold besides the file's path
 _HEADER = ",".join(CSV_COLUMNS)
 MALFORMED_CSVS = {
@@ -27,6 +27,12 @@ MALFORMED_CSVS = {
         f"{kind} nmi": (_HEADER + f"\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,{value},0.1,5,,,01\n",
                         f"line 3: cannot read nmi '{value}'")
         for kind, value in [("NaN", "nan"), ("infinite", "inf"), ("negative", "-0.1"), ("above 1", "1.5")]
+    },
+    # a mean misclustering rate is read the same way
+    **{
+        f"{kind} misclustering rate": (_HEADER + f"\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,0.8,{value},5,,,01\n",
+                                       f"line 3: cannot read misclustering_rate '{value}'")
+        for kind, value in [("NaN", "nan"), ("negative", "-0.1"), ("above 1", "1.5")]
     },
     # a cell's method read twice would win it twice
     "repeated row": (_HEADER + "\ne,avg_degree,10,a,0,0.9,0.1,5,,,01\ne,avg_degree,10,b,0,0.8,0.1,5,,,01"

@@ -1,4 +1,4 @@
-"""Benchmark harness: specs, simulation sweeps, CSV, winners, realdata."""
+"""Benchmark harness: specs, simulation sweeps, CSV, results report, realdata."""
 
 import csv
 import json
@@ -15,16 +15,14 @@ from blockfactor.bench import (
     CSV_COLUMNS,
     METHODS,
     ExperimentSpec,
-    format_winner_table,
     read_csv,
     realdata_table,
+    report,
     rows_to_csv_text,
     run_method,
     run_methods,
     run_simulation,
-    summarize,
     verify_csv_rows,
-    winner_counts,
     write_csv,
 )
 from blockfactor.blockmodels import dcsbm_powerlaw_preset, sample_graph, sbm_snr_preset
@@ -140,7 +138,29 @@ class TestExperimentSpec:
     )
     @pytest.mark.parametrize("through_json", [False, True], ids=["direct", "json"])
     def test_wrong_field_type_is_typed(self, tmp_path, field, overrides, through_json):
-        with pytest.raises(InvalidInputError, match=f"^{field} must be (an integer|a number)"):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be (an integer|a finite number)"):
+            if through_json:
+                path = tmp_path / "spec.json"
+                path.write_text(json.dumps({**tiny_spec().__dict__, "beta": None, **overrides}))
+                ExperimentSpec.from_json(path)
+            else:
+                tiny_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("snr", dict(snr=float("nan"))),
+            ("snr", dict(snr=float("inf"))),
+            ("avg_degree", dict(avg_degree=[8.0, float("nan")])),
+            ("avg_degree", dict(sweep="n", n=[48, 64], avg_degree=float("inf"))),
+            ("beta", dict(model="dcsbm", beta=float("inf"))),
+            ("beta", dict(model="dcsbm", sweep="beta", beta=[2.5, float("-inf")], avg_degree=8.0)),
+        ],
+    )
+    @pytest.mark.parametrize("through_json", [False, True], ids=["direct", "json"])
+    def test_non_finite_number_is_refused(self, tmp_path, field, overrides, through_json):
+        # json.loads reads NaN and Infinity, which used to reach the first cell
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a finite number, got -?(nan|inf)"):
             if through_json:
                 path = tmp_path / "spec.json"
                 path.write_text(json.dumps({**tiny_spec().__dict__, "beta": None, **overrides}))
@@ -267,11 +287,6 @@ class TestRunSimulation:
         assert list(records[0].keys()) == CSV_COLUMNS
         assert "wall_time" not in records[0]
 
-    def test_summarize_mentions_all_methods(self):
-        rows = run_simulation(tiny_spec())
-        text = summarize(rows)
-        assert "osntf" in text and "spectral" in text
-
     def test_node_count_sweep(self):
         spec = tiny_spec(n=[30, 50], avg_degree=8.0, sweep="n", replicates=1)
         rows = run_simulation(spec)
@@ -301,6 +316,12 @@ print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
             "import sys, blockfactor.bench; print('concurrent.futures.process' in sys.modules)"
         ) == "False"
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+    def test_workers_must_be_a_positive_integer(self, monkeypatch, workers):
+        monkeypatch.setattr(bench, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidInputError, match=r"^workers must be a positive integer, got "):
+            run_simulation(tiny_spec(), workers=workers)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_reports_every_cell(self, workers):
         calls = []
@@ -309,53 +330,104 @@ print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
         assert calls == [(1, 2), (2, 2)]
 
 
-class TestWinners:
-    def test_single_method_wins_everywhere(self, tmp_path):
-        spec = tiny_spec(methods=["osntf"])
-        path = tmp_path / "one.csv"
-        write_csv(run_simulation(spec), path)
-        result = winner_counts([path])
-        assert result["counts"][("tiny", "osntf")] == sum(result["cells"].values())
+HAND_CSV_ROWS = [
+    ",".join(CSV_COLUMNS),
+    # experiment f comes first, and has no reg-spectral to pair osntf with
+    "f,n,200,osntf,5,0.5,0.25,3,,,01",
+    "f,n,200,spectral,5,0.5,0.25,0,,,01",
+    # cell (10, 0): osntf and snmf tie; cell (10, 1): reg-spectral, snmf and spectral tie
+    "e,avg_degree,10,reg-spectral,0,0.5,0.25,0,,,01",
+    "e,avg_degree,10,reg-spectral,1,0.625,0.25,0,,,01",
+    "e,avg_degree,10,osntf,0,0.75,0.125,4,,,01",
+    "e,avg_degree,10,osntf,1,0.5,0.25,4,,,01",
+    "e,avg_degree,10,snmf,0,0.75,0.125,4,,,01",
+    "e,avg_degree,10,snmf,1,0.625,0.25,4,,,01",
+    "e,avg_degree,10,spectral,0,0.25,0.5,0,,,01",
+    "e,avg_degree,10,spectral,1,0.625,0.25,0,,,01",
+    # cell (20, 0): one replicate, no spectral row; reg-spectral and osntf tie
+    "e,avg_degree,20,reg-spectral,0,1.0,0.0,0,,,01",
+    "e,avg_degree,20,osntf,0,1.0,0.0,4,,,01",
+    "e,avg_degree,20,snmf,0,0.875,0.0625,4,,,01",
+]
 
-    def test_hand_tallied_csv(self, tmp_path):
+# worked by hand: an sd is |a - b| / sqrt(2) for two values, blank for one
+HAND_REPORT = """\
+### f
+
+| n | method | reps | NMI mean ± sd | misclustering rate | wins | NMI gain over reg-spectral |
+|---:|---|---:|---:|---:|---:|---:|
+| 200 | osntf | 1 | 0.5000 | 0.2500 | 1 |  |
+| 200 | spectral | 1 | 0.5000 | 0.2500 | 1 |  |
+
+Wins out of 1 cells: osntf 1, spectral 1.
+
+### e
+
+| avg_degree | method | reps | NMI mean ± sd | misclustering rate | wins | NMI gain over reg-spectral |
+|---:|---|---:|---:|---:|---:|---:|
+| 10 | reg-spectral | 2 | 0.5625 ± 0.0884 | 0.2500 | 1 |  |
+| 10 | osntf | 2 | 0.6250 ± 0.1768 | 0.1875 | 1 | +0.0625 ± 0.2652 |
+| 10 | snmf | 2 | 0.6875 ± 0.0884 | 0.1875 | 2 | +0.1250 ± 0.1768 |
+| 10 | spectral | 2 | 0.4375 ± 0.2652 | 0.3750 | 1 |  |
+| 20 | reg-spectral | 1 | 1.0000 | 0.0000 | 1 |  |
+| 20 | osntf | 1 | 1.0000 | 0.0000 | 1 | +0.0000 |
+| 20 | snmf | 1 | 0.8750 | 0.0625 | 0 | -0.1250 |
+
+Wins out of 3 cells: reg-spectral 2, osntf 2, snmf 2, spectral 1.
+"""
+
+
+class TestReport:
+    def test_single_method_wins_everywhere(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_csv(run_simulation(tiny_spec(methods=["osntf"])), path)
+        lines = report([path]).splitlines()
+        assert lines[-1] == "Wins out of 4 cells: osntf 4."
+        assert [line.split(" | ")[-2] for line in lines[4:6]] == ["2", "2"]
+
+    def test_hand_computed_csv(self, tmp_path):
         path = tmp_path / "hand.csv"
-        rows = [
-            "experiment,sweep,sweep_value,method,seed,nmi,misclustering_rate,iterations,orthogonality_drift,residual,labels",
-            "e,avg_degree,10,a,0,0.9,0.1,5,,,01",
-            "e,avg_degree,10,b,0,0.8,0.1,5,,,01",
-            "e,avg_degree,10,a,1,0.7,0.1,5,,,01",
-            "e,avg_degree,10,b,1,0.7,0.1,5,,,01",
+        path.write_text("\r\n".join(HAND_CSV_ROWS) + "\r\n")
+        assert report([path]) == HAND_REPORT
+
+    def test_files_add_up_like_one(self, tmp_path):
+        # a cell's rows split over two files are one cell
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        paths[0].write_text("\n".join(HAND_CSV_ROWS[:8]) + "\n")
+        paths[1].write_text("\n".join(HAND_CSV_ROWS[:1] + HAND_CSV_ROWS[8:]) + "\n")
+        assert report(paths) == HAND_REPORT
+
+    def test_simulated_rows_in_sweep_and_method_order(self, tmp_path):
+        spec = tiny_spec(methods=["snmf", "osntf", "spectral", "reg-spectral"])
+        path = tmp_path / "rows.csv"
+        write_csv(run_simulation(spec), path)
+        rows = [line.split(" | ") for line in report([path]).splitlines()[4:12]]
+        assert [(row[0], row[1], row[2]) for row in rows] == [
+            (f"| {v}", m, "2") for v in spec.sweep_values for m in spec.methods
         ]
-        path.write_text("\r\n".join(rows) + "\r\n")
-        result = winner_counts([path])
-        # cell (10, 0): a wins; cell (10, 1): tie awards both
-        assert result["counts"][("e", "a")] == 2
-        assert result["counts"][("e", "b")] == 1
-        assert result["cells"]["e"] == 2
-        table = format_winner_table(result)
-        assert "e" in table and "cells" in table
+        assert [bool(row[-1].strip(" |")) for row in rows[:4]] == [True, True, False, False]
 
     def test_a_file_read_twice_is_refused(self, tmp_path):
         # osntf would win 4 of 2 cells
         path = tmp_path / "a.csv"
         write_csv(run_simulation(tiny_spec(avg_degree=[8.0], replicates=2)), path)
-        winner_counts([path])
+        report([path])
         with pytest.raises(BlockfactorError) as exc:
-            winner_counts([path, path])
+            report([path, path])
         assert str(exc.value).startswith(f"{path}, line 2: ") and str(exc.value).endswith(f"already read at {path}, line 2")
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(BlockfactorError):
-            winner_counts([path])
+            report([path])
 
     @pytest.mark.parametrize("text, message", MALFORMED_CSVS.values(), ids=MALFORMED_CSVS.keys())
     def test_unreadable_csv_names_path_and_fault(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(BlockfactorError) as exc:
-            winner_counts([path])
+            report([path])
         assert str(exc.value).startswith(str(path)) and message in str(exc.value)
 
 

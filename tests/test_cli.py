@@ -1,13 +1,15 @@
 """End-to-end CLI behavior via main()."""
 
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import MALFORMED_CSVS, SRC, fresh_interpreter
 
-from blockfactor.bench import METHODS, read_csv, run_method
-from blockfactor.cli import main
+from blockfactor.bench import METHODS, read_csv, report, run_method
+from blockfactor.cli import build_parser, main
 from blockfactor.datasets import data_dir
 from blockfactor.io import load_graph
 from blockfactor.metrics import NMI_VARIANTS
@@ -149,21 +151,45 @@ class TestSimulate:
         bad.write_text(json.dumps({"experiment": "x"}))
         assert main(["simulate", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_stdout_is_the_report_of_the_csv(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", str(spec_file), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out == report([out])
 
-class TestWinnersCommand:
-    def test_winner_table(self, spec_file, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_one_error_line(self, spec_file, tmp_path, capsys, workers):
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", str(spec_file), "--out", str(out), "--quiet", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [f"error: workers must be a positive integer, got {workers}"]
+
+
+class TestReportCommand:
+    def test_report_tables(self, spec_file, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         main(["simulate", str(spec_file), "--out", str(out), "--quiet"])
         capsys.readouterr()
-        assert main(["winners", str(out)]) == 0
-        table = capsys.readouterr().out
-        assert "cli-tiny" in table
+        assert main(["report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text == report([out])
+        assert text.startswith("### cli-tiny\n") and text.endswith("Wins out of 2 cells: osntf 2, spectral 2.\n")
+
+    def test_the_winners_command_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["winners", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'winners'" in capsys.readouterr().err
+
+    def test_report_takes_no_flag(self):
+        parser = subcommands()["report"]
+        assert [a.option_strings for a in parser._actions] == [["-h", "--help"], []]
 
     @pytest.mark.parametrize("text, message", MALFORMED_CSVS.values(), ids=MALFORMED_CSVS.keys())
     def test_unreadable_csv_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        assert main(["winners", str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and err.startswith(f"error: {path}") and message in err
 
@@ -171,7 +197,7 @@ class TestWinnersCommand:
         out = tmp_path / "rows.csv"
         main(["simulate", str(spec_file), "--out", str(out), "--quiet"])
         capsys.readouterr()
-        assert main(["winners", str(out), str(out)]) == 2
+        assert main(["report", str(out), str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err
@@ -224,6 +250,18 @@ class TestRealdataCommand:
         assert exc.value.code == 2
         choices = ", ".join(map(repr, NMI_VARIANTS))
         assert f"invalid choice: 'avg' (choose from {choices})" in capsys.readouterr().err
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_readme_synopsis_names_every_subcommand():
+    # the "Command line" section's code block, one "blockfactor NAME" line per subcommand
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    assert re.findall(r"^blockfactor (\S+)", block, flags=re.M) == list(subcommands())
+    assert list(subcommands()) == ["factorize", "simulate", "realdata", "report"]
 
 
 def test_python_m_blockfactor_runs_the_cli():

@@ -29,6 +29,17 @@ NAN_START = np.ones((4, 2))
 NAN_START[1, 0] = np.nan
 INFINITE_START = np.ones((4, 2))
 INFINITE_START[2, 1] = np.inf
+NAN, INF = float("nan"), float("inf")
+# each of these failed later with a message that named the wrong fault, or passed
+NON_FINITE_PRESET_NUMBERS = {
+    "NaN SBM degree": ("target_avg_degree", lambda: sbm_snr_preset(10, 2, 3.0, NAN)),
+    "infinite SBM degree": ("target_avg_degree", lambda: sbm_snr_preset(10, 2, 3.0, INF)),
+    "NaN SBM snr": ("snr", lambda: sbm_snr_preset(10, 2, NAN, 1.0)),
+    "infinite SBM snr": ("snr", lambda: sbm_snr_preset(10, 2, INF, 1.0)),
+    "NaN DCSBM degree": ("target_avg_degree", lambda: dcsbm_powerlaw_preset(30, 2, 3.0, NAN, 2.5, 0)),
+    "infinite DCSBM snr": ("snr", lambda: dcsbm_powerlaw_preset(30, 2, INF, 5.0, 2.5, 0)),
+    "infinite DCSBM beta": ("beta", lambda: dcsbm_powerlaw_preset(30, 2, 3.0, 5.0, INF, 0)),
+}
 NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 
 # each of these was silently truncated, or raised a bare numpy or scipy error
@@ -102,12 +113,19 @@ BAD_INPUT = {
     "infinite OSNTF start": lambda: osntf(np.eye(4), 2, INFINITE_START),
     "NaN seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset=float("nan")),
     "infinite seeding offset": lambda: nmf_init_from_partition([0, 1], 2, offset=float("inf")),
+    **{name: make for name, (_, make) in NON_FINITE_PRESET_NUMBERS.items()},
 }
 
 
 @pytest.mark.parametrize("make", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_is_a_typed_error(make):
     with pytest.raises(InvalidInputError):
+        make()
+
+
+@pytest.mark.parametrize("field, make", NON_FINITE_PRESET_NUMBERS.values(), ids=NON_FINITE_PRESET_NUMBERS.keys())
+def test_non_finite_preset_number_is_refused_by_name(field, make):
+    with pytest.raises(InvalidInputError, match=f"^{field} must be a finite number"):
         make()
 
 

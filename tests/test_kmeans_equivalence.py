@@ -221,15 +221,17 @@ class TestBlocks:
         assert peak < 6e6
 
 
-class TestPairwiseSum:
-    def test_pairwise_sum_matches_numpy_last_axis_sum(self):
-        # the distance step sums column arrays; numpy sums the reference's
-        # short last axis one by one below 8, pairwise from 8 on
+class TestManyCoordinates:
+    @pytest.mark.parametrize("d", [8, 9, 130])
+    def test_pairwise_coordinate_sums_match(self, d):
+        # numpy sums the reference's last axis one by one below 8 values
+        # and pairwise from 8 on, over coordinates of very different scales
         rng = np.random.default_rng(12)
-        for m in list(range(1, 40)) + [127, 128, 129, 136, 257, 300]:
-            x = rng.standard_normal((50, m)) ** 2 * 10.0 ** rng.uniform(-8, 8, size=(50, m))
-            got = spectral._pairwise_sum(lambda j: x[:, j].copy(), 0, m)
-            assert np.array_equal(got, x.sum(axis=-1))
+        for trial in range(4):
+            n, k = int(rng.integers(20, 90)), int(rng.integers(2, 6))
+            scale = 10.0 ** rng.uniform(-6, 6, size=(1, d))
+            points = rng.standard_normal((n, d)) * scale + 3 * scale * rng.integers(0, k, size=(n, 1))
+            assert_same_as_reference(points, k, seed=trial)
 
 
 class TestPlusPlusDraw:
