@@ -22,7 +22,7 @@ from .datasets import load_dataset
 from .errors import BlockfactorError, InvalidInputError, is_integer, is_real
 from .factorization import SolverConfig, assign_communities, osntf, snmf
 from .graphs import Graph, largest_connected_component
-from .metrics import misclustered_count, misclustering_rate, nmi
+from .metrics import MAX_EXACT_LABELS, misclustering_rate, nmi
 from .spectral import VARIANTS, SharedStages, nmf_init_from_partition
 
 # Not called here, but bound in this module because perfbench/tracing.py
@@ -201,6 +201,8 @@ class ExperimentSpec:
                 if not kind(v):
                     noun = "an integer" if kind is is_integer else "a finite number"
                     raise InvalidInputError(f"{name} must be {noun}, got {v!r}")
+        if self.k > MAX_EXACT_LABELS:  # else misclustering_rate raises only after a cell's whole run
+            raise InvalidInputError(f"k must be at most {MAX_EXACT_LABELS}, the exact misclustering search's bound, got {self.k}")
         if len(set(values)) < len(values):  # [10, 10.0] would sample one graph twice
             raise InvalidInputError(f"swept field {self.sweep!r} repeats a value: {values!r}")
         if self.replicates < 1:
@@ -268,22 +270,19 @@ def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np
     return g_lcc, params.z[nodes]
 
 
-def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
-    """All methods on one sampled graph, sharing its spectral stages."""
-    seed = spec.base_seed + rep
-    g_lcc, truth = _cell_graph(spec, sweep_value, seed)
-    outputs = run_methods(g_lcc, spec.k, spec.methods, seed=[seed, _STREAM_KMEANS])
+def _rows(experiment, sweep, sweep_value, seed, truth, methods, outputs, nmi_variant="sum") -> list[ResultRow]:
+    """One ResultRow per method, scoring ``run_methods`` outputs against the planted labels."""
     rows = []
-    for method, out in zip(spec.methods, outputs):
+    for method, out in zip(methods, outputs):
         rate, _ = misclustering_rate(truth, out.labels)
         rows.append(
             ResultRow(
-                experiment=spec.experiment,
-                sweep=spec.sweep,
+                experiment=experiment,
+                sweep=sweep,
                 sweep_value=sweep_value,
                 method=method,
                 seed=seed,
-                nmi=nmi(truth, out.labels),
+                nmi=nmi(truth, out.labels, variant=nmi_variant),
                 misclustering_rate=rate,
                 iterations=out.iterations,
                 orthogonality_drift=out.orthogonality_drift,
@@ -293,6 +292,14 @@ def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRo
             )
         )
     return rows
+
+
+def _simulate_cell(spec: ExperimentSpec, sweep_value, rep: int) -> list[ResultRow]:
+    """All methods on one sampled graph, sharing its spectral stages."""
+    seed = spec.base_seed + rep
+    g_lcc, truth = _cell_graph(spec, sweep_value, seed)
+    outputs = run_methods(g_lcc, spec.k, spec.methods, seed=[seed, _STREAM_KMEANS])
+    return _rows(spec.experiment, spec.sweep, sweep_value, seed, truth, spec.methods, outputs)
 
 
 def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> list[ResultRow]:
@@ -410,34 +417,24 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
 def realdata_table(
     dataset: str,
     methods: Sequence[str] = METHODS[:4],
-    seed=0,
-    k: int = 2,
+    seed: int = 0,
     nmi_variant: str = "sum",
-) -> list[dict]:
-    """Per-method misclustered count and NMI on a benchmark dataset."""
+) -> list[ResultRow]:
+    """One row per method on a benchmark dataset, k its number of classes.
+
+    The rows are simulate's: experiment is the dataset, the sweep is "n"
+    at the node count, and nmi is the ``nmi_variant`` normalization.
+    """
     g, truth = load_dataset(dataset)
-    out = []
-    for method, res in zip(methods, run_methods(g, k, methods, seed=seed)):
-        out.append(
-            {
-                "dataset": dataset,
-                "method": method,
-                "n": g.n,
-                "misclustered": misclustered_count(truth, res.labels),
-                "nmi": nmi(truth, res.labels, variant=nmi_variant),
-                "iterations": res.iterations,
-                "labels": res.labels,
-            }
-        )
-    return out
+    outputs = run_methods(g, np.unique(truth).size, methods, seed=seed)
+    return _rows(dataset, "n", g.n, seed, truth, methods, outputs, nmi_variant)
 
 
-def format_realdata_table(rows: list[dict]) -> str:
+def format_realdata_table(rows: Sequence[ResultRow]) -> str:
     lines = [f"{'method':<14s} {'misclustered':>12s} {'nmi':>8s} {'iters':>6s}"]
     for r in rows:
-        lines.append(
-            f"{r['method']:<14s} {r['misclustered']:>12d} {r['nmi']:>8.4f} {r['iterations']:>6d}"
-        )
+        misclustered = round(r.misclustering_rate * r.labels.size)  # as misclustered_count
+        lines.append(f"{r.method:<14s} {misclustered:>12d} {r.nmi:>8.4f} {r.iterations:>6d}")
     return "\n".join(lines)
 
 

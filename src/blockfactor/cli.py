@@ -6,6 +6,7 @@ experiment-spec JSON schema and output formats.
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,9 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("dataset", choices=DATASETS)
     p_real.add_argument("--methods", default=",".join(bench.METHODS[:4]),
                         help="comma-separated subset of " + ",".join(bench.METHODS))
-    p_real.add_argument("--k", type=int, default=2)
     p_real.add_argument("--nmi-variant", choices=NMI_VARIANTS, default="sum")
-    p_real.add_argument("--out", default=None, help="also write the table as CSV")
+    p_real.add_argument("--out", default=None, help="also write the rows as a simulate CSV")
     p_real.add_argument("--seed", type=int, default=0)
 
     p_rep = sub.add_parser("report", help="Markdown results tables of simulate CSVs")
@@ -89,7 +89,10 @@ def _cmd_simulate(args) -> int:
     if not args.quiet:
         def progress(done, total):
             print(f"\r{done}/{total} cells", end="", file=sys.stderr, flush=True)
-    rows = bench.run_simulation(spec, workers=args.workers, progress=progress)
+    with warnings.catch_warnings():
+        if args.quiet:  # forked pool workers inherit the filter
+            warnings.filterwarnings("ignore", message="clipped", category=UserWarning)
+        rows = bench.run_simulation(spec, workers=args.workers, progress=progress)
     if not args.quiet:
         print(file=sys.stderr)
     bench.write_csv(rows, args.out)
@@ -102,18 +105,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_realdata(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    rows = bench.realdata_table(
-        args.dataset, methods=methods, seed=args.seed, k=args.k, nmi_variant=args.nmi_variant,
-    )
+    rows = bench.realdata_table(args.dataset, methods=methods, seed=args.seed, nmi_variant=args.nmi_variant)
     print(bench.format_realdata_table(rows))
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["dataset", "method", "n", "misclustered", "nmi"])
-            for r in rows:
-                w.writerow([r["dataset"], r["method"], r["n"], r["misclustered"], repr(r["nmi"])])
+        bench.write_csv(rows, args.out)
     return 0
 
 

@@ -36,6 +36,7 @@ from blockfactor.factorization import (
     snmf,
 )
 from blockfactor.graphs import Graph, largest_connected_component, normalized_laplacian
+from blockfactor.metrics import MAX_EXACT_LABELS
 from blockfactor.spectral import nmf_init_from_partition, spectral_clustering
 
 
@@ -321,6 +322,11 @@ print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
         monkeypatch.setattr(bench, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(InvalidInputError, match=r"^workers must be a positive integer, got "):
             run_simulation(tiny_spec(), workers=workers)
+
+    def test_k_above_the_exact_search_bound_fails_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(bench, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidInputError, match=rf"^k must be at most {MAX_EXACT_LABELS}, .*got 9$"):
+            run_simulation(tiny_spec(k=9))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_reports_every_cell(self, workers):
@@ -655,17 +661,17 @@ class TestRunMethods:
         rows = realdata_table("karate", methods=list(METHODS), seed=0)
         g, _ = load_dataset("karate")
         for row in rows:
-            alone = run_method(g, 2, row["method"], seed=0)
-            assert np.array_equal(row["labels"], alone.labels)
-            assert row["iterations"] == alone.iterations
+            alone = run_method(g, 2, row.method, seed=0)
+            assert np.array_equal(row.labels, alone.labels)
+            assert row.iterations == alone.iterations
 
 
 class TestRealdata:
     def test_karate_table(self):
         rows = realdata_table("karate", methods=["reg-spectral"], seed=0)
-        assert rows[0]["n"] == 34
-        assert rows[0]["misclustered"] == 0
-        assert rows[0]["nmi"] == 1.0
+        assert rows[0].sweep_value == 34
+        assert rows[0].misclustering_rate == 0.0
+        assert rows[0].nmi == 1.0
 
     def test_unknown_dataset(self):
         with pytest.raises(ValueError):

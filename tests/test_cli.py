@@ -146,6 +146,19 @@ class TestSimulate:
         assert capsys.readouterr().err == "\r1/1 cells\n"
         assert [r["method"] for r in read_csv(out)] == ["osntf", "spectral"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_quiet_silences_the_clipping_warning(self, tmp_path, workers):
+        spec = tmp_path / "dcsbm.json"
+        spec.write_text(json.dumps({
+            "experiment": "clipping", "model": "dcsbm", "n": 60, "k": 2, "snr": 4.0, "beta": 2.2,
+            "avg_degree": [10.0], "sweep": "avg_degree", "methods": ["spectral"], "replicates": 2,
+        }))
+        argv = ["-m", "blockfactor", "simulate", str(spec), "--out", str(tmp_path / "rows.csv"), "--workers", workers]
+        loud, quiet = fresh_interpreter(argv), fresh_interpreter(argv + ["--quiet"])
+        assert loud.returncode == quiet.returncode == 0, loud.stderr + quiet.stderr
+        assert "population entries above 1 before sampling" in loud.stderr
+        assert quiet.stderr == ""
+
     def test_bad_spec_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"experiment": "x"}))
@@ -215,6 +228,17 @@ class TestRealdataCommand:
         assert code == 0
         assert "reg-spectral" in capsys.readouterr().out
         assert out.read_text().count("\n") == 2  # header + one method
+        assert [r["method"] for r in read_csv(out)] == ["reg-spectral"]
+
+    def test_report_reads_the_csvs_of_several_seeds(self, tmp_path, capsys):
+        paths = [str(tmp_path / f"karate{seed}.csv") for seed in range(3)]
+        for seed, path in enumerate(paths):
+            assert main(["realdata", "karate", "--seed", str(seed), "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["report", *paths]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^### .*", out, flags=re.M) == ["### karate"]
+        assert re.findall(r"^\| 34 \| (\S+) \| (\d+) \|", out, flags=re.M) == [(m, "3") for m in METHODS[:4]]
 
     def test_repeated_method_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "karate.csv"
@@ -235,6 +259,7 @@ class TestRealdataCommand:
             ["factorize", "graph.txt", "--k", "2", "--init", "spectral"],
             ["factorize", "graph.txt", "--k", "2", "--tau", "1"],
             ["realdata", "karate", "--tau", "1"],
+            ["realdata", "karate", "--k", "2"],
         ],
         ids=lambda argv: f"{argv[0]} {argv[-2]}",
     )
@@ -262,6 +287,16 @@ def test_readme_synopsis_names_every_subcommand():
     block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
     assert re.findall(r"^blockfactor (\S+)", block, flags=re.M) == list(subcommands())
     assert list(subcommands()) == ["factorize", "simulate", "realdata", "report"]
+
+
+def test_readme_synopsis_lists_each_subcommands_flags():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    # a subcommand's lines run from its "blockfactor NAME" line to the next one
+    synopses = dict(re.findall(r"^blockfactor (\S+)(.*(?:\n\s.*)*)", block, flags=re.M))
+    for name, parser in subcommands().items():
+        flags = [s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help")]
+        assert sorted(re.findall(r"--[\w-]+", synopses[name])) == sorted(flags), name
 
 
 def test_python_m_blockfactor_runs_the_cli():
