@@ -8,6 +8,7 @@ that seed, so sweeps parallelize without sharing generator state.
 
 import contextlib
 import csv
+import importlib
 import io as _io
 import json
 import time
@@ -316,6 +317,8 @@ def run_simulation(spec: ExperimentSpec, workers: int = 1, progress=None) -> lis
     chunks = []
     if workers > 1:  # imported only here: the pool module takes about 15 ms to load
         from concurrent.futures import ProcessPoolExecutor
+        for module in ("scipy.sparse.csgraph", "scipy.sparse.linalg"):  # every cell's, loaded before the fork
+            importlib.import_module(module)  # so that no worker imports it on its first cell
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         # both maps yield in argument order

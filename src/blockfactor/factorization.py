@@ -140,42 +140,35 @@ def frobenius_residual(x, h: np.ndarray, s: Optional[np.ndarray] = None) -> floa
     return math.sqrt(_sq_norm(x - (h @ h.T if s is None else h @ s @ h.T)))
 
 
-def _shared_products(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray], hxh=None) -> tuple[float, tuple]:
+def _shared_products(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> tuple[float, tuple]:
     """A sweep's k x k products ``p = (G, H^T X H, G S G)``, G = H^T H (the
-    last two None for SNMF, ``s`` None; ``hxh`` is H^T X H if already
-    formed), and the r^2 they give by the identity of ``Factorization``."""
-    gram = h.T @ h
+    last two None for SNMF, ``s`` None), and the r^2 they give by the
+    identity of ``Factorization``."""
+    ht = h.T
+    gram = np.dot(ht, h)
     if s is None:
-        return float(x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)), (gram, None, None)
-    hxh = h.T @ xh if hxh is None else hxh
-    gsg = gram @ s @ gram
+        return x_sq - 2.0 * float(np.vdot(h, xh)) + float(np.vdot(gram, gram)), (gram, None, None)
+    hxh = np.dot(ht, xh)
+    gsg = np.dot(np.dot(gram, s), gram)
     # S need not be symmetric: ||H S H^T||^2 = <S, G S G>, not <S G, (G S)^T>
-    return float(x_sq - 2.0 * np.vdot(hxh, s) + np.vdot(s, gsg)), (gram, hxh, gsg)
+    return x_sq - 2.0 * float(np.vdot(hxh, s)) + float(np.vdot(s, gsg)), (gram, hxh, gsg)
 
 
-def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray], hxh=None) -> tuple[float, tuple]:
+def _residual_from(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> tuple[float, tuple]:
     """``(||x - h s h^T||_F, p)`` from ``x_sq = ||x||^2`` and ``xh = x @ h``,
-    where ``p`` is the ``_shared_products`` of h.
-
-    A square below zero is cancellation noise and reads as 0; a
-    non-finite one stays non-finite so the caller can detect it.  If a
-    term overflows while ``x_sq`` is finite, the identity is evaluated
-    again on h * 2^-e and xh * 2^-3e, with 2^4e near ``x_sq``: every term
-    of r^2 then scales by exactly 2^-4e, and r by 2^-2e.
-    """
-    e = 0
-    r_sq, p = _shared_products(x_sq, xh, h, s, hxh)
-    if not math.isfinite(r_sq) and math.isfinite(x_sq):
-        e = math.frexp(x_sq)[1] // 4
-        r_sq, _ = _shared_products(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
-    if not math.isfinite(r_sq):
-        return math.nan, p
-    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e), p
+    where ``p`` is the ``_shared_products`` of h.  A square below zero is
+    cancellation noise and reads as 0; only a non-finite one is rescaled."""
+    r_sq, p = _shared_products(x_sq, xh, h, s)
+    return (math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else _rescaled_residual(x_sq, xh, h, s)), p
 
 
-def _snmf_update(xh: np.ndarray, h: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    denom = h @ gram + _GUARD
-    return h * (0.5 + 0.5 * (xh / denom))
+def _rescaled_residual(x_sq: float, xh: np.ndarray, h: np.ndarray, s: Optional[np.ndarray]) -> float:
+    """The residual for an r^2 that is not finite, from the identity on
+    h * 2^-e and xh * 2^-3e with 2^4e near ``x_sq``: every term of r^2 then
+    scales by exactly 2^-4e, and r by 2^-2e.  NaN if r^2 stays non-finite."""
+    e = math.frexp(x_sq)[1] // 4
+    r_sq, _ = _shared_products(math.ldexp(x_sq, -4 * e), np.ldexp(xh, -3 * e), np.ldexp(h, -e), s)
+    return math.ldexp(math.sqrt(max(r_sq, 0.0)), 2 * e) if math.isfinite(r_sq) else math.nan
 
 
 def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -187,17 +180,7 @@ def snmf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig
 
     which keeps H nonnegative and decreases ||X - H H^T||_F.
     """
-    return _solve("snmf", x, k, h0, cfg, lambda xh, h, s, p: (_snmf_update(xh, h, p[0]), None))
-
-
-def _osntf_update(xh: np.ndarray, h: np.ndarray, s: np.ndarray, p: tuple) -> tuple[np.ndarray, np.ndarray]:
-    _, s_num, gsg = p
-    s = s * np.sqrt(s_num / (gsg + _GUARD))
-
-    xhs = xh @ s
-    h_den = h @ (h.T @ xhs) + _GUARD
-    h = h * np.sqrt(xhs / h_den)
-    return h, s
+    return _solve("snmf", x, k, h0, cfg)
 
 
 def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfig()) -> Factorization:
@@ -211,22 +194,19 @@ def osntf(x: np.ndarray, k: int, h0: np.ndarray, cfg: SolverConfig = SolverConfi
     Column orthogonality of H is tracked, not enforced; renormalizing
     during the run would break the monotonicity of the updates.
     """
-    return _solve("osntf", x, k, h0, cfg, _osntf_update)
+    return _solve("osntf", x, k, h0, cfg)
 
 
-def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorization:
-    """The sweep loop both solvers share.
-
-    ``update(xh, h, s, p)`` returns the next ``(h, s)``, where ``xh = x @ h``
-    and ``p`` is the sweep's ``_shared_products``; OSNTF's S starts at
-    h0^T x h0, symmetrized.  Each sweep forms ``x @ h`` once, for the new
-    H, and then its k x k products once: both feed that sweep's residual
-    and the next update, and no n x n array is built inside the loop;
-    ``x`` may be dense or CSR.  Stops once the relative residual change
-    drops below ``cfg.rel_tol`` outside the identity's rounding noise, or
-    two residuals in a row are exactly 0 (never when ``cfg.rel_tol`` is
-    0), and raises NonFiniteUpdateError as soon as one is not finite.
-    """
+def _solve(method: str, x, k: int, h0, cfg: SolverConfig) -> Factorization:
+    """The sweep loop both solvers share; OSNTF's S starts at h0^T x h0,
+    symmetrized.  Each sweep updates S and H in place, forms ``x @ h``
+    once, for the new H, and then its ``_shared_products`` once: both feed
+    that sweep's residual and the next update.  Only a CSR ``x @ h`` makes
+    a new n x k array, and no n x n one is built.  Stops once the relative
+    residual change drops below ``cfg.rel_tol`` outside the identity's
+    rounding noise, or two residuals in a row are exactly 0 (never when
+    ``cfg.rel_tol`` is 0), and raises NonFiniteUpdateError as soon as one
+    is not finite."""
     x = as_matrix(x)
     h = float_array(h0, "h0").copy()
     x_sq = _sq_norm(x)
@@ -236,16 +216,33 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
     # of r below rel_tol moves r^2 by about 2 rel_tol r^2, so once that is
     # under the noise the trace cannot resolve it and the stop test is off.
     noise_sq = x.shape[0] * k * np.finfo(np.float64).eps * x_sq
-    xh = x @ h
-    hxh = None if method == "snmf" else h.T @ xh
-    s = None if hxh is None else 0.5 * (hxh + hxh.T)
-    r, p = _residual_from(x_sq, xh, h, s, hxh)
+    xh, ht, dense = x @ h, h.T, isinstance(x, np.ndarray)  # ht follows the in-place H
+    ratio, s, xhs = np.empty_like(h), None, None  # the H update's ratio; XHS
+    if method == "osntf":
+        s, xhs = np.dot(ht, xh), np.empty_like(h)
+        s = 0.5 * (s + s.T)
+    r, (gram, hxh, gsg) = _residual_from(x_sq, xh, h, s)
     trace = [r]
     converged = False
     for _ in range(cfg.max_iters):
-        h, s = update(xh, h, s, p)
-        xh = x @ h
-        r, p = _residual_from(x_sq, xh, h, s)
+        if s is None:  # H <- H (1/2 + XH / (2 (H G + guard)))
+            np.dot(h, gram, out=ratio)
+            ratio += _GUARD
+            np.divide(xh, ratio, out=ratio)
+            ratio *= 0.5
+            ratio += 0.5
+        else:  # S <- S sqrt(H^T X H / (G S G + guard)), then H <- H sqrt(XHS / (H H^T XHS + guard))
+            gsg += _GUARD
+            np.divide(hxh, gsg, out=gsg)
+            s *= np.sqrt(gsg, out=gsg)
+            np.dot(xh, s, out=xhs)
+            np.dot(h, np.dot(ht, xhs), out=ratio)
+            ratio += _GUARD
+            np.divide(xhs, ratio, out=ratio)
+            np.sqrt(ratio, out=ratio)
+        h *= ratio
+        xh = np.dot(x, h, out=xh) if dense else x @ h
+        r, (gram, hxh, gsg) = _residual_from(x_sq, xh, h, s)
         trace.append(r)
         if not math.isfinite(r):
             raise NonFiniteUpdateError(f"{method.upper()} update produced non-finite entries")
@@ -261,7 +258,7 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig, update) -> Factorizati
         objective_trace=np.array(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        orthogonality_drift=None if s is None else float(np.linalg.norm(p[0] - np.eye(k))),
+        orthogonality_drift=None if s is None else float(np.linalg.norm(gram - np.eye(k))),
     )
 
 

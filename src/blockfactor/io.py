@@ -297,7 +297,7 @@ def format_labels(labels: np.ndarray, names=None) -> str:
     for name in names if names is not None else ():
         if re.search("[#\t\n\r\ud800-\udfff]", name):
             raise InvalidInputError(f"a label file name cannot hold #, tab, newline or a lone surrogate: {name!r}")
-    return "".join(f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n" for i, lab in enumerate(labels))
+    return "".join(f"{lab}\n" if names is None else f"{names[i]}\t{lab}\n" for i, lab in enumerate(labels.tolist()))
 
 
 def save_labels(labels: np.ndarray, path: PathLike, names=None) -> None:

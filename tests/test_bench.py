@@ -317,6 +317,18 @@ print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
             "import sys, blockfactor.bench; print('concurrent.futures.process' in sys.modules)"
         ) == "False"
 
+    def test_pool_forks_after_the_scipy_imports(self):
+        # every cell uses scipy.sparse's csgraph and linalg: loaded in the
+        # parent before the fork, no worker imports them on its first cell
+        assert fresh_output(
+            "import sys\n"
+            "from blockfactor.bench import ExperimentSpec, run_simulation\n"
+            "spec = ExperimentSpec(experiment='tiny', model='sbm', n=48, k=2, snr=4.0, avg_degree=[8.0],\n"
+            "                      sweep='avg_degree', methods=['spectral'], replicates=2, base_seed=3)\n"
+            "run_simulation(spec, workers=2)\n"
+            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules))"
+        ) == "['scipy.sparse.csgraph', 'scipy.sparse.linalg']"
+
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
     def test_workers_must_be_a_positive_integer(self, monkeypatch, workers):
         monkeypatch.setattr(bench, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))

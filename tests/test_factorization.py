@@ -263,31 +263,32 @@ class TestSweepLoop:
     @pytest.mark.parametrize("solver", [snmf, osntf])
     def test_finite_traces_unchanged_by_the_rescaling(self, monkeypatch, n, generator, solver):
         # population-recovery's instances and solver settings (fewer sweeps
-        # at n = 300), solved again with the identity as it was before the
-        # overflow rescaling: the traces must be bit-identical
+        # at n = 300): no finite r^2 may reach the overflow rescaling.  Its
+        # scaling by powers of two is exact, so comparing traces cannot see
+        # it; a spy on the rescaling can, and the 1e77 start of
+        # test_overflowing_identity_terms_are_rescaled shows that the spy
+        # sees the sweeps and not only the starting residual
         from blockfactor import factorization
 
-        def identity_without_rescaling(x_sq, xh, h, s, hxh=None):
-            gram = h.T @ h
-            if s is None:
-                r_sq = x_sq - 2.0 * np.vdot(h, xh) + np.vdot(gram, gram)
-                products = (gram, None, None)
-            else:
-                hxh = h.T @ xh if hxh is None else hxh
-                gsg = gram @ s @ gram
-                r_sq = x_sq - 2.0 * np.vdot(hxh, s) + np.vdot(s, gsg)
-                products = (gram, hxh, gsg)
-            r_sq = float(r_sq)
-            return (math.sqrt(max(r_sq, 0.0)) if math.isfinite(r_sq) else math.nan), products
+        finite = []
+        rescaled_residual = factorization._rescaled_residual
 
+        def spy(x_sq, xh, h, s):
+            finite.append(math.isfinite(factorization._shared_products(x_sq, xh, h, s)[0]))
+            return rescaled_residual(x_sq, xh, h, s)
+
+        monkeypatch.setattr(factorization, "_rescaled_residual", spy)
+        with np.errstate(all="ignore"):
+            snmf(3e153 * np.ones((4, 4)), 2, 1e77 * np.ones((4, 2)), SolverConfig(max_iters=3, rel_tol=0.0))
+        assert len(finite) == 4 and not any(finite)
+        finite.clear()
         rng = np.random.default_rng(11)
         params = generator(rng, n=n, k=3)
         x = population_laplacian(params)
         h0 = nmf_init_from_partition(kmeans(topk_by_magnitude(x, 3), 3, seed=0), 3, offset=0.02)
         cfg = SolverConfig(max_iters=12000 if n == 60 else 3000, rel_tol=0.0)
-        trace = solver(x, 3, h0, cfg).objective_trace
-        monkeypatch.setattr(factorization, "_residual_from", identity_without_rescaling)
-        assert np.array_equal(trace, solver(x, 3, h0, cfg).objective_trace)
+        solver(x, 3, h0, cfg)
+        assert finite == []
 
     @pytest.mark.parametrize("generator", [random_full_rank_sbm, random_full_rank_dcsbm])
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
@@ -472,6 +473,28 @@ class TestSharedProducts:
                 assert isinstance(f, NonFiniteUpdateError)
             f = assert_same_as_parent(method, np.eye(4) + 0.5, 2, np.full((4, 2), 1e160), SolverConfig(max_iters=50))
             assert isinstance(f, NonFiniteUpdateError)
+
+
+class TestInputsUntouched:
+    """The solvers update their own copy of h0 in place and never write to
+    x or h0, whether x is dense or CSR and h0 writable or read-only."""
+
+    @pytest.mark.parametrize("matrix", ["dense", "csr"])
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("solver", [snmf, osntf])
+    def test_x_and_h0_keep_their_bytes(self, matrix, writable, solver):
+        from scipy import sparse
+
+        g = karate()[0]
+        dense = normalized_laplacian(g).toarray()
+        x = dense if matrix == "dense" else sparse.csr_array(dense)
+        h0 = nmf_init_from_partition(np.random.default_rng(5).integers(0, 2, size=g.n), 2)
+        h0.setflags(write=writable)
+        parts = [x] if matrix == "dense" else [x.data, x.indices, x.indptr]
+        before = [p.tobytes() for p in (*parts, h0)]
+        f = solver(x, 2, h0, SolverConfig(max_iters=50, rel_tol=0.0))
+        assert [p.tobytes() for p in (*parts, h0)] == before
+        assert not np.shares_memory(f.h, h0) and not any(np.shares_memory(f.h, p) for p in parts)
 
 
 class TestInputChecks:

@@ -9,6 +9,7 @@ import pytest
 from blockfactor.errors import GraphParseError, InvalidInputError
 from blockfactor.graphs import MAX_NODES, Graph
 from blockfactor.io import (
+    format_labels,
     load_edgelist,
     load_gml,
     load_graph,
@@ -242,6 +243,22 @@ class TestLabelsFile:
         p = tmp_path / "labels.txt"
         save_labels(np.array([2, 0, 1]), p, names=["two words", " padded ", ""])
         assert load_labels(p).tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([], dtype=np.int64), np.array([2, 0, 1, 1]), np.array([-3, 2**63 - 1, -(2**63)]),
+         np.array([0.0, 4.0, 1.0]), np.array([5, 0, 7], dtype=np.uint8), [1, 0, 2]],
+        ids=["empty", "int64", "extremes", "float", "uint8", "list"],
+    )
+    @pytest.mark.parametrize("named", [False, True])
+    def test_text_is_the_per_label_genexpr_text(self, labels, named):
+        # the reference formats each label as a numpy integer through int()
+        names = tuple(f"node {i}" for i in range(len(labels))) if named else None
+        expected = "".join(
+            f"{int(lab)}\n" if names is None else f"{names[i]}\t{int(lab)}\n"
+            for i, lab in enumerate(np.asarray(labels).astype(np.int64))
+        )
+        assert format_labels(labels, names) == expected
 
     def test_label_beyond_64_bits_is_a_parse_error(self, tmp_path):
         p = tmp_path / "labels.txt"
