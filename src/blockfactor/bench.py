@@ -271,7 +271,7 @@ def _cell_graph(spec: ExperimentSpec, sweep_value, seed: int) -> tuple[Graph, np
     return g_lcc, params.z[nodes]
 
 
-def _rows(experiment, sweep, sweep_value, seed, truth, methods, outputs, nmi_variant="sum") -> list[ResultRow]:
+def _rows(experiment, sweep, sweep_value, seed, truth, methods, outputs) -> list[ResultRow]:
     """One ResultRow per method, scoring ``run_methods`` outputs against the planted labels."""
     rows = []
     for method, out in zip(methods, outputs):
@@ -283,7 +283,7 @@ def _rows(experiment, sweep, sweep_value, seed, truth, methods, outputs, nmi_var
                 sweep_value=sweep_value,
                 method=method,
                 seed=seed,
-                nmi=nmi(truth, out.labels, variant=nmi_variant),
+                nmi=nmi(truth, out.labels),
                 misclustering_rate=rate,
                 iterations=out.iterations,
                 orthogonality_drift=out.orthogonality_drift,
@@ -347,12 +347,16 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv_text(rows: Sequence[ResultRow]) -> str:
+    """The CSV text of ``rows``, one digit per label; a label outside 0-9 raises InvalidInputError."""
     buf = _io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for r in rows:
+        labels = r.labels.tolist()
+        if not all(0 <= label <= 9 for label in labels):
+            raise InvalidInputError(f"{r.experiment} {r.method} seed {r.seed}: CSV labels must be 0-9, got {labels}")
         cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
-        writer.writerow(cells + ["".join(map(str, r.labels.tolist()))])
+        writer.writerow(cells + ["".join(map(str, labels))])
     return buf.getvalue()
 
 
@@ -360,14 +364,20 @@ def write_csv(rows: Sequence[ResultRow], path) -> None:
     Path(path).write_text(rows_to_csv_text(rows), newline="")
 
 
-def _located_rows(path) -> list[tuple[str, dict]]:
-    """("<path>, line <n>", row) per row of a CSV whose header names every CSV_COLUMNS entry."""
-    with open(path, newline="") as fh:
+def _located_rows(source) -> list[tuple[str, dict]]:
+    """("<name>, line <n>", row) per row of a CSV whose header names every
+    CSV_COLUMNS entry.  ``source`` is a CSV path, or a list of ResultRows,
+    read as the CSV that ``write_csv`` writes for them and named "rows"."""
+    if isinstance(source, list):
+        name, fh = "rows", _io.StringIO(rows_to_csv_text(source))
+    else:
+        name, fh = source, open(source, newline="")
+    with fh:
         reader = csv.DictReader(fh)
-        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        missing = [column for column in CSV_COLUMNS if column not in (reader.fieldnames or ())]
         if missing:
-            raise BlockfactorError(f"{path}: CSV header lacks column(s) {', '.join(missing)}")
-        return [(f"{path}, line {reader.line_num}", rec) for rec in reader]
+            raise BlockfactorError(f"{name}: CSV header lacks column(s) {', '.join(missing)}")
+        return [(f"{name}, line {reader.line_num}", rec) for rec in reader]
 
 
 def read_csv(path) -> list[dict]:
@@ -417,28 +427,15 @@ def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     return checked
 
 
-def realdata_table(
-    dataset: str,
-    methods: Sequence[str] = METHODS[:4],
-    seed: int = 0,
-    nmi_variant: str = "sum",
-) -> list[ResultRow]:
+def realdata_table(dataset: str, methods: Sequence[str] = METHODS[:4], seed: int = 0) -> list[ResultRow]:
     """One row per method on a benchmark dataset, k its number of classes.
 
     The rows are simulate's: experiment is the dataset, the sweep is "n"
-    at the node count, and nmi is the ``nmi_variant`` normalization.
+    at the node count, and nmi is ``nmi``'s default normalization.
     """
     g, truth = load_dataset(dataset)
     outputs = run_methods(g, np.unique(truth).size, methods, seed=seed)
-    return _rows(dataset, "n", g.n, seed, truth, methods, outputs, nmi_variant)
-
-
-def format_realdata_table(rows: Sequence[ResultRow]) -> str:
-    lines = [f"{'method':<14s} {'misclustered':>12s} {'nmi':>8s} {'iters':>6s}"]
-    for r in rows:
-        misclustered = round(r.misclustering_rate * r.labels.size)  # as misclustered_count
-        lines.append(f"{r.method:<14s} {misclustered:>12d} {r.nmi:>8.4f} {r.iterations:>6d}")
-    return "\n".join(lines)
+    return _rows(dataset, "n", g.n, seed, truth, methods, outputs)
 
 
 def _mean_sd(values: list, spec: str) -> str:
@@ -449,7 +446,8 @@ def _mean_sd(values: list, spec: str) -> str:
 
 def report(csv_paths: Sequence) -> str:
     """Markdown results of simulate CSVs: one table per experiment, in
-    first-seen order, with one row per (sweep value, method).
+    first-seen order, with one row per (sweep value, method).  An entry
+    of ``csv_paths`` may also be a list of ResultRows, read as their CSV.
 
     A row gives the replicate count, the NMI mean ± sample sd, the mean
     misclustering rate, and the wins: the (sweep value, seed) cells where

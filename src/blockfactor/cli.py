@@ -14,7 +14,7 @@ from . import bench
 from .datasets import DATASETS
 from .errors import BlockfactorError
 from .io import format_labels, load_graph, save_labels
-from .metrics import NMI_VARIANTS, misclustered_count, nmi
+from .metrics import misclustered_count, nmi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-verify 5%% of rows from their persisted labels")
     p_sim.add_argument("--quiet", action="store_true")
 
-    p_real = sub.add_parser("realdata", help="benchmark table on a named dataset")
+    p_real = sub.add_parser("realdata", help="results report of the methods on a named dataset")
     p_real.add_argument("dataset", choices=DATASETS)
     p_real.add_argument("--methods", default=",".join(bench.METHODS[:4]),
                         help="comma-separated subset of " + ",".join(bench.METHODS))
-    p_real.add_argument("--nmi-variant", choices=NMI_VARIANTS, default="sum")
     p_real.add_argument("--out", default=None, help="also write the rows as a simulate CSV")
     p_real.add_argument("--seed", type=int, default=0)
 
@@ -105,10 +104,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_realdata(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    rows = bench.realdata_table(args.dataset, methods=methods, seed=args.seed, nmi_variant=args.nmi_variant)
-    print(bench.format_realdata_table(rows))
+    rows = bench.realdata_table(args.dataset, methods=methods, seed=args.seed)
     if args.out:
         bench.write_csv(rows, args.out)
+    sys.stdout.write(bench.report([rows]))  # what report prints for the --out CSV
     return 0
 
 

@@ -288,6 +288,15 @@ class TestRunSimulation:
         assert list(records[0].keys()) == CSV_COLUMNS
         assert "wall_time" not in records[0]
 
+    def test_a_label_above_9_is_refused_before_the_file_exists(self, tmp_path):
+        # one digit per label: [0, 10, 1] would write "0101", four labels
+        rows = run_simulation(tiny_spec(avg_degree=[8.0], replicates=1))
+        rows[1].labels = np.array([0, 10, 1])
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidInputError, match=r"^tiny spectral seed 3: CSV labels must be 0-9, got \[0, 10, 1\]$"):
+            write_csv(rows, path)
+        assert not path.exists()
+
     def test_node_count_sweep(self):
         spec = tiny_spec(n=[30, 50], avg_degree=8.0, sweep="n", replicates=1)
         rows = run_simulation(spec)
@@ -328,6 +337,24 @@ print(rows_to_csv_text(_simulate_cell(spec, 15.0, 0)))
             "run_simulation(spec, workers=2)\n"
             "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules))"
         ) == "['scipy.sparse.csgraph', 'scipy.sparse.linalg']"
+
+    def test_the_pre_fork_imports_are_every_scipy_module_a_cell_loads(self):
+        # the first points of fig1a and fig1c, whose 800- and 600-node
+        # components take the ARPACK path that a 48-node cell does not
+        code = f"""
+import dataclasses, importlib, sys
+from blockfactor.bench import ExperimentSpec, run_simulation
+for module in ("scipy.sparse.csgraph", "scipy.sparse.linalg"):
+    importlib.import_module(module)
+before = set(sys.modules)
+sizes = []
+for config in ("fig1a", "fig1c"):
+    spec = ExperimentSpec.from_json({str(SRC.parent / "configs")!r} + f"/{{config}}.json")
+    spec = dataclasses.replace(spec, replicates=1, **{{spec.sweep: spec.sweep_values[:1]}})
+    sizes.append(len(run_simulation(spec)[0].labels))
+print(min(sizes) >= 150, sorted(m for m in set(sys.modules) - before if m.startswith("scipy")))
+"""
+        assert fresh_output(code) == "True []"
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
     def test_workers_must_be_a_positive_integer(self, monkeypatch, workers):
@@ -433,6 +460,14 @@ class TestReport:
         with pytest.raises(BlockfactorError) as exc:
             report([path, path])
         assert str(exc.value).startswith(f"{path}, line 2: ") and str(exc.value).endswith(f"already read at {path}, line 2")
+
+    def test_rows_read_as_their_csv(self, tmp_path):
+        rows = run_simulation(tiny_spec(avg_degree=[8.0]))
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        assert report([rows]) == report([path])
+        with pytest.raises(BlockfactorError, match=r"^rows, line 2: .* already read at rows, line 2$"):
+            report([rows, rows])
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

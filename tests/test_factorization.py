@@ -162,7 +162,7 @@ def osntf_step(x, h, s):
 
 def replay(x, h0, sweeps, method):
     """The solver run by hand: the frozen step rules and the dense residual."""
-    h = np.array(h0, dtype=np.float64)
+    h = np.array(h0, dtype=np.float64, order="C")  # as the solver's copy, whatever h0's order
     s = None
     if method == "osntf":
         s = h.T @ (x @ h)
@@ -361,7 +361,7 @@ def _parent_initial_s(xh, h):
 def parent_solve(method, x, k, h0, cfg):
     x = as_matrix(x)
     entries = x if isinstance(x, np.ndarray) else x.data
-    h = np.array(h0, dtype=np.float64)
+    h = np.array(h0, dtype=np.float64, order="C")  # as the solver's copy, whatever h0's order
     x_sq = float(np.square(entries).sum())
     noise_sq = x.shape[0] * k * np.finfo(np.float64).eps * x_sq
     if method == "snmf":
@@ -455,6 +455,16 @@ class TestSharedProducts:
         h0 = nmf_init_from_partition(rng.integers(0, k, size=g.n), k)
         for cfg in (SolverConfig(), SolverConfig(max_iters=300, rel_tol=0.0)):
             assert_same_as_parent(method, x, k, h0, cfg)
+
+    @pytest.mark.parametrize("method", ["snmf", "osntf"])
+    def test_fortran_ordered_h0(self, method):
+        # the solver copies h0 into C order; a reference that kept the
+        # Fortran order would take other BLAS paths and differ in the last bits
+        rng = np.random.default_rng(29)
+        x = random_nonneg_symmetric(rng, 60)
+        h0 = np.asfortranarray(rng.random((60, 5)) + 0.1)
+        assert not h0.flags.c_contiguous
+        assert_same_as_parent(method, x, 5, h0, SolverConfig(max_iters=30, rel_tol=0.0))
 
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
     def test_overflowing_starts(self, method):
