@@ -402,9 +402,12 @@ def _unit_interval(text: str) -> float:
 def verify_csv_rows(spec: ExperimentSpec, path, fraction: float = 0.05) -> int:
     """Recompute metrics from persisted labels for a deterministic sample of rows.
 
-    Returns the number of rows re-verified; raises BlockfactorError on
+    ``fraction``, a number in (0, 1], re-verifies every round(1 / fraction)-th
+    row.  Returns the number of rows re-verified; raises BlockfactorError on
     any mismatch.
     """
+    if not (is_real(fraction) and 0 < fraction <= 1):
+        raise InvalidInputError(f"fraction must be a number in (0, 1], got {fraction!r}")
     records = _located_rows(path)
     step = max(1, int(round(1.0 / max(fraction, 1e-9))))
     to_sweep_value = (lambda v: int(float(v))) if spec.sweep == "n" else float

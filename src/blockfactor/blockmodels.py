@@ -45,7 +45,7 @@ class BlockModel:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise InvalidInputError(f"{name} rates must be a square matrix, got shape {c.shape}")
         if not np.array_equal(c, c.T):
-            raise InvalidInputError(f"{name} rates must be symmetric")
+            raise InvalidInputError(f"{name} rates are not symmetric")
         if (c < 0).any():
             raise InvalidInputError(f"{name} rates must be nonnegative")
         if z.ndim != 1 or ((z < 0) | (z >= self.k)).any():
@@ -292,8 +292,8 @@ def _planted_partition(n, k, snr, target_avg_degree) -> tuple[np.ndarray, np.nda
         raise InvalidInputError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     if not (is_real(snr) and snr >= 1):
         raise InvalidInputError(f"snr must be a finite number >= 1, got {snr!r}")
-    if not is_real(target_avg_degree):
-        raise InvalidInputError(f"target_avg_degree must be a finite number, got {target_avg_degree!r}")
+    if not (is_real(target_avg_degree) and target_avg_degree >= 0):
+        raise InvalidInputError(f"target_avg_degree must be a finite number >= 0, got {target_avg_degree!r}")
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     return np.repeat(np.arange(k), sizes), np.ones((k, k)) + (snr - 1.0) * np.eye(k)

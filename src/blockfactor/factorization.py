@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, NonFiniteUpdateError, float_array, is_integer, is_real
-from .graphs import as_matrix, is_symmetric
+from .graphs import as_matrix, symmetric_matrix
 
 __all__ = [
     "SolverConfig",
@@ -99,27 +99,16 @@ def _sq_norm(x) -> float:
     return float(np.square(_entries(x)).sum())
 
 
-def _check_solver_inputs(x, x_sq: float, k: int, h0: np.ndarray):
-    """Shape, finiteness, symmetry and sign checks, all before any sweep;
-    ``x`` is dense or CSR (from ``as_matrix``) and ``x_sq`` is ``||x||_F^2``."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InvalidInputError(f"x must be square, got shape {x.shape}")
+def _check_solver_inputs(x, k: int, h0: np.ndarray):
+    """The solvers' own checks, all before any sweep: the shape, finiteness
+    and strict positivity of ``h0``, and no negative entry in ``x``, which
+    has passed ``symmetric_matrix``."""
     n = x.shape[0]
-    if not (is_integer(k) and 1 <= k <= n):
-        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
     if h0.shape != (n, k):
         raise InvalidInputError(f"h0 must have shape ({n}, {k}), got {h0.shape}")
     if not np.isfinite(h0).all():
         raise InvalidInputError("h0 must be finite (it has NaN or infinite entries)")
-    entries = _entries(x)
-    # Only a NaN or infinite entry, or an overflowing norm, makes x_sq
-    # non-finite.  Tested before symmetry, which NaN would fail; finite x
-    # whose norm overflows is left to the sweep loop's NonFiniteUpdateError.
-    if not math.isfinite(x_sq) and not np.isfinite(entries).all():
-        raise InvalidInputError("x must be finite (it has NaN or infinite entries)")
-    if not is_symmetric(x):
-        raise InvalidInputError("x must be symmetric")
-    if entries.min(initial=0.0) < 0:
+    if _entries(x).min(initial=0.0) < 0:
         raise InvalidInputError("x must be nonnegative")
     if h0.min() <= 0:
         raise InvalidInputError(
@@ -207,10 +196,10 @@ def _solve(method: str, x, k: int, h0, cfg: SolverConfig) -> Factorization:
     rounding noise, or two residuals in a row are exactly 0 (never when
     ``cfg.rel_tol`` is 0), and raises NonFiniteUpdateError as soon as one
     is not finite."""
-    x = as_matrix(x)
+    x = symmetric_matrix(x, k)
     h = float_array(h0, "h0").copy()
+    _check_solver_inputs(x, k, h)
     x_sq = _sq_norm(x)
-    _check_solver_inputs(x, x_sq, k, h)
     # The identity's r^2 is off by up to about n k eps ||X||^2 (measured at
     # most 12 eps ||X||^2 at n = 60 and 57 at n = 300).  A relative change
     # of r below rel_tol moves r^2 by about 2 rel_tol r^2, so once that is

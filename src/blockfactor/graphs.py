@@ -177,13 +177,26 @@ def as_matrix(x):
     return x
 
 
-def is_symmetric(x) -> bool:
-    """Whether an ``as_matrix`` result is symmetric to within 1e-8 per
-    entry; O(m) for CSR x."""
-    if isinstance(x, np.ndarray):
-        # exact equality implies the tolerance test and is several times cheaper
-        return np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)
-    return np.abs((x - x.T).data).max(initial=0.0) <= 1e-8
+def symmetric_matrix(x, k):
+    """``as_matrix(x)`` once it is square, ``k`` is an integer in [1, n], and
+    it is finite and symmetric to within 1e-8 per entry, else
+    InvalidInputError: the one matrix check of ``spectral.sym_eigs_topk``
+    and both solvers.  For CSR x it reads only the stored entries, O(m)."""
+    x = as_matrix(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InvalidInputError(f"matrix must be square, got shape {x.shape}")
+    n, dense = x.shape[0], isinstance(x, np.ndarray)
+    if not (is_integer(k) and 1 <= k <= n):
+        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
+    if not np.isfinite(x if dense else x.data).all():
+        raise InvalidInputError("matrix must be finite (it has NaN or infinite entries)")
+    if dense:  # exact equality implies the tolerance test and is several times cheaper
+        symmetric = np.array_equal(x, x.T) or np.allclose(x, x.T, rtol=0, atol=1e-8)
+    else:
+        symmetric = np.abs((x - x.T).data).max(initial=0.0) <= 1e-8
+    if not symmetric:
+        raise InvalidInputError("matrix must be symmetric to within 1e-8 per entry")
+    return x
 
 
 def degrees(g: Graph) -> np.ndarray:

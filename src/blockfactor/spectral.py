@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NoConvergenceError, float_array, integer_array, is_integer, is_real, seeded_rng
-from .graphs import Graph, as_matrix, is_symmetric, normalized_laplacian, regularized_laplacian
+from .graphs import Graph, normalized_laplacian, regularized_laplacian, symmetric_matrix
 
 __all__ = [
     "EigenPairs",
@@ -101,20 +101,11 @@ def sym_eigs_topk(m, k: int) -> EigenPairs:
     vectors, returns every copy.
 
     Signs follow the convention that the first nonzero coordinate of each
-    eigenvector is positive, so repeated runs are comparable.  A matrix not
-    finite, or not symmetric to 1e-8 per entry, raises InvalidInputError.
+    eigenvector is positive, so repeated runs are comparable.  ``m`` and
+    ``k`` pass ``graphs.symmetric_matrix``, the solvers' check too.
     """
-    m = as_matrix(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError("matrix must be square")
-    n = m.shape[0]
-    if not (is_integer(k) and 1 <= k <= n):
-        raise InvalidInputError(f"k={k!r} must be an integer in [1, {n}]")
-    dense = isinstance(m, np.ndarray)
-    if not np.isfinite(m if dense else m.data).all():
-        raise InvalidInputError("matrix must be finite")
-    if not is_symmetric(m):
-        raise InvalidInputError("matrix must be symmetric")
+    m = symmetric_matrix(m, k)
+    n, dense = m.shape[0], isinstance(m, np.ndarray)
     if not dense and n >= max(5 * k, _DENSE_EIGH_BELOW):
         pairs = _arpack_topk(m, k) if _irreducible_nonnegative(m) else None
         vals, vecs = pairs if pairs is not None else _lobpcg_topk(m, k)

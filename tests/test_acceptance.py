@@ -8,7 +8,6 @@ without them those tests fail with fetch instructions.
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +36,6 @@ from blockfactor.metrics import (
     nmi,
 )
 from blockfactor.spectral import kmeans, nmf_init_from_partition, sym_eigs_topk
-
-warnings.filterwarnings("ignore", message="clipped")
 
 
 def _passed(criterion: str, detail: str):

@@ -240,6 +240,12 @@ class TestRunSimulation:
         with pytest.raises(BlockfactorError):
             verify_csv_rows(spec, path, fraction=1.0)
 
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, float("nan"), 1.5, "0.5", True])
+    def test_spot_check_refuses_a_bad_fraction_before_reading(self, tmp_path, fraction):
+        # the CSV does not exist, so only a check before reading it can raise this
+        with pytest.raises(InvalidInputError, match=r"fraction must be a number in \(0, 1\]"):
+            verify_csv_rows(tiny_spec(), tmp_path / "missing.csv", fraction=fraction)
+
     @pytest.mark.parametrize("column, value, message", [
         ("seed", "x", "cannot read seed 'x'"),
         ("sweep_value", "", "cannot read sweep_value ''"),
@@ -496,7 +502,6 @@ class TestRunMethod:
 
     @pytest.mark.parametrize("method", list(spectral.VARIANTS))
     @pytest.mark.parametrize("graph", ["karate", "dcsbm"])
-    @pytest.mark.filterwarnings("ignore:clipped")
     def test_spectral_clustering_is_the_method(self, graph, method):
         g, k = (karate()[0], 2) if graph == "karate" else (dcsbm_graph(), 3)
         for seed in (0, 7):
@@ -534,7 +539,6 @@ class TestReportedResidual:
 
     @pytest.mark.parametrize("method", ["snmf", "osntf"])
     @pytest.mark.parametrize("graph", ["karate", "sbm", "dcsbm"])
-    @pytest.mark.filterwarnings("ignore:clipped")
     def test_equals_frobenius_residual(self, graph, method):
         if graph == "karate":
             g, _ = karate()
@@ -604,7 +608,6 @@ def same_output(a, b) -> bool:
 SHARED_METHODS = [METHODS, ("osntf", "snmf"), ("spectral-wp", "snmf", "spectral")]
 
 
-@pytest.mark.filterwarnings("ignore:clipped")
 class TestRunMethods:
     """run_methods shares each eigensolve and partition; its outputs must not show it."""
 

@@ -39,6 +39,8 @@ NON_FINITE_PRESET_NUMBERS = {
     "NaN DCSBM degree": ("target_avg_degree", lambda: dcsbm_powerlaw_preset(30, 2, 3.0, NAN, 2.5, 0)),
     "infinite DCSBM snr": ("snr", lambda: dcsbm_powerlaw_preset(30, 2, INF, 5.0, 2.5, 0)),
     "infinite DCSBM beta": ("beta", lambda: dcsbm_powerlaw_preset(30, 2, 3.0, 5.0, INF, 0)),
+    "negative SBM degree": ("target_avg_degree", lambda: sbm_snr_preset(30, 2, 3.0, -5.0)),
+    "negative DCSBM degree": ("target_avg_degree", lambda: dcsbm_powerlaw_preset(30, 2, 3.0, -5.0, 2.5, 0)),
 }
 NAN_ROW = Factorization(h=np.array([[np.nan], [1.0]]), s=None, objective_trace=np.zeros(1), iterations=0, converged=False)
 

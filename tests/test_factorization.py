@@ -1,7 +1,6 @@
 """SNMF and OSNTF solvers: fixed points, recovery oracles, diagnostics."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -415,9 +414,7 @@ def sampled_component(model, seed):
     if model == "sbm":
         params = sbm_snr_preset(n, 3, 3.0, degree)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # DCSBM clipping notes
-            params = dcsbm_powerlaw_preset(n, 3, 3.0, degree, 2.5, seed=[seed, 0])
+        params = dcsbm_powerlaw_preset(n, 3, 3.0, degree, 2.5, seed=[seed, 0])
     g, _ = largest_connected_component(sample_graph(params, seed=[seed, 1]))
     return g, 3
 

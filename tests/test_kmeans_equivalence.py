@@ -9,7 +9,6 @@ restart and step counts are compared restart by restart, through
 """
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -116,11 +115,9 @@ def sampled_components():
 def embeddings():
     """L and unit-row L_tau eigenvector rows of each sampled component."""
     out = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "clipped")  # the DCSBM preset's clipping note
-        for g, k in sampled_components():
-            out.append(sym_eigs_topk(normalized_laplacian(g), k).vectors)
-            out.append(unit_rows(sym_eigs_topk(regularized_laplacian(g), k).vectors))
+    for g, k in sampled_components():
+        out.append(sym_eigs_topk(normalized_laplacian(g), k).vectors)
+        out.append(unit_rows(sym_eigs_topk(regularized_laplacian(g), k).vectors))
     return out
 
 

@@ -2,8 +2,6 @@
 checked against the dense reference: subspaces and labels, not raw vectors,
 because eigenvectors of repeated eigenvalues are not unique."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,14 +42,12 @@ def sampled_components(count, seed=0):
     for t in range(count):
         n = int(rng.integers(60, 300))
         degree = float(rng.uniform(8.0, 30.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # DCSBM clipping notes
-            if t % 2:
-                params = sbm_snr_preset(n, 3, 3.0, degree)
-            else:
-                beta = float(rng.uniform(2.1, 3.1))
-                params = dcsbm_powerlaw_preset(n, 3, 3.0, degree, beta, seed=[seed, t])
-            g, _ = largest_connected_component(sample_graph(params, seed=[seed, t]))
+        if t % 2:
+            params = sbm_snr_preset(n, 3, 3.0, degree)
+        else:
+            beta = float(rng.uniform(2.1, 3.1))
+            params = dcsbm_powerlaw_preset(n, 3, 3.0, degree, beta, seed=[seed, t])
+        g, _ = largest_connected_component(sample_graph(params, seed=[seed, t]))
         out.append((g, 3))
     out.append((karate()[0], 2))
     return out
@@ -399,17 +395,37 @@ class TestCsrSolvers:
         assert sparse_report.row_sparsity == dense_report.row_sparsity
 
     def test_input_checks(self):
-        x = sp.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
-        h0 = np.ones((3, 1))
-        snmf(x + sp.csr_array(([5e-9], ([0], [1])), shape=(3, 3)), 1, h0)  # within 1e-8
-        cases = {
-            "symmetric": sp.csr_array(([1e-7], ([0], [1])), shape=(3, 3)),
-            "nonnegative": sp.csr_array(([-1.0, -1.0], ([0, 2], [2, 0])), shape=(3, 3)),
-            "finite": sp.csr_array(([np.nan], ([1], [1])), shape=(3, 3)),
-        }
-        for word, delta in cases.items():
-            with pytest.raises(InvalidInputError, match=word):
-                osntf(x + delta, 1, h0)
+        # sym_eigs_topk and both solvers share one matrix check, dense and CSR
+        x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+
+        def with_entry(i, j, value):
+            y = x.copy()
+            y[i, j] += value
+            return y
+
+        def run(fn, m, k):
+            return fn(m, k) if fn is sym_eigs_topk else fn(m, k, np.ones((m.shape[0], 1)))
+
+        signed = x.copy()
+        signed[0, 2] = signed[2, 0] = -1.0
+        shared = (sym_eigs_topk, snmf, osntf)
+        cases = [
+            ("symmetric", with_entry(0, 1, 1e-7), 1, shared),
+            ("finite", with_entry(1, 1, np.nan), 1, shared),
+            ("finite", with_entry(1, 1, np.inf), 1, shared),
+            ("square", x[:2], 1, shared),
+            *((r"must be an integer in \[1, 3\]", x, k, shared) for k in (0, 4, 2.0, True)),
+            ("nonnegative", signed, 1, (snmf, osntf)),  # the eigensolver takes signed matrices
+        ]
+        for word, m, k, fns in cases:
+            for fn in fns:
+                for form in (m, sp.csr_array(m)):
+                    with pytest.raises(InvalidInputError, match=word):
+                        run(fn, form, k)
+        for m, fns in ((with_entry(0, 1, 5e-9), shared), (signed, (sym_eigs_topk,))):  # 5e-9 is within 1e-8
+            for fn in fns:
+                for form in (m, sp.csr_array(m)):
+                    run(fn, form, 1)
 
     def test_uncanonical_csr_is_summed_on_a_copy(self):
         # built from its index arrays, scipy keeps row 1's duplicate (1, 0)
